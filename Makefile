@@ -120,11 +120,11 @@ bench-cache:
 bench-speed:
 	./scripts/bench_speed.sh
 
-# Raw-speed correctness: the warm-start/prefilter determinism matrix
-# under the race detector, then the allocation-regression gates (plain —
+# Raw-speed correctness: the warm-start/prefilter determinism matrix and
+# the Clarkson hull differential tests under the race detector, then the allocation-regression gates (plain —
 # race instrumentation inflates alloc counts, and the gate files are
 # built with //go:build !race).
 speed:
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
-		-run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestPrefilter' . ./internal/core/ ./internal/lp/
-	$(GO) test -count=1 -run 'TestSolverAllocsSteadyState|TestEdgeLPAllocs' ./internal/lp/ ./internal/core/
+		-run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestPrefilter|TestClarksonMatchesHull3D|TestClarksonMatchesBruteForce|TestClarksonColdMatchesWarmBitwise' . ./internal/core/ ./internal/lp/ ./internal/hull/
+	$(GO) test -count=1 -run 'TestSolverAllocsSteadyState|TestEdgeLPAllocs|TestClarksonAllocs' ./internal/lp/ ./internal/core/ ./internal/hull/

@@ -82,7 +82,7 @@ type Instance struct {
 // NewInstance preprocesses pts: extracts extreme points (Clarkson / hulls),
 // measures fatness, and builds search structures. pts must already be
 // α-fat in [−1,1]^d; it is retained, not copied.
-func NewInstance(pts []geom.Vector, opts ...hull.Option) (*Instance, error) {
+func NewInstance(pts []geom.Vector) (*Instance, error) {
 	if len(pts) == 0 {
 		return nil, fmt.Errorf("core: empty point set")
 	}
@@ -90,7 +90,7 @@ func NewInstance(pts []geom.Vector, opts ...hull.Option) (*Instance, error) {
 	inst := &Instance{Pts: pts, D: d}
 
 	var err error
-	inst.X, err = hull.ExtremePoints(pts, opts...)
+	inst.X, err = hull.ExtremePoints(pts)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

@@ -16,43 +16,38 @@ import (
 // S; the test for p repeats. Total work is O(n) containment tests plus ξ
 // support scans, where ξ is the number of extreme points.
 //
-// Containment tests run through three tiers: a barycentric interior-simplex
-// filter (O(d²)), Gilbert's algorithm against S, and finally the exact
-// containment LP, whose Farkas certificate supplies the separating
-// direction.
+// A barycentric test against an inscribed simplex of S (O(d²)) discards
+// deep-interior points first. Every other point goes to one containment
+// LP over the columns of S, retained while S is unchanged: only the d
+// coordinate right-hand sides move from point to point, so the pooled
+// lp.Solver re-solves warm. When p lies in the basis simplex of the
+// previous point's solution, that is a zero-pivot O(d²) barycentric check;
+// otherwise a few dual-simplex pivots move to a neighbouring simplex. An
+// infeasible LP falls back to the cold two-phase solve, whose Farkas
+// certificate supplies the separating direction. The LP is rebuilt only
+// when S grows, i.e. O(ξ) times.
 
-// options for ExtremePoints.
-type options struct {
-	warmDirections int
-	seed           int64
-	tol            float64
-}
-
-// Option configures ExtremePoints.
-type Option func(*options)
-
-// WithWarmDirections sets the number of random support directions used to
-// seed the confirmed-vertex set (default 128; more helps high dimensions).
-func WithWarmDirections(k int) Option { return func(o *options) { o.warmDirections = k } }
-
-// WithSeed sets the seed for the warm-start direction sample.
-func WithSeed(s int64) Option { return func(o *options) { o.seed = s } }
-
-// WithTolerance sets the geometric tolerance under which a point counts as
-// inside the hull (default 1e-9). Points within tol of the hull boundary
-// may be classified either way.
-func WithTolerance(t float64) Option { return func(o *options) { o.tol = t } }
+const (
+	// clarksonTol is the geometric slack under which a point counts as
+	// inside the hull: points within it of the boundary may be classified
+	// either way.
+	clarksonTol = 1e-9
+	// warmDirections is the number of random support directions used to
+	// seed the confirmed-vertex set.
+	warmDirections = 128
+)
 
 // ExtremePoints returns the indices of the vertices of conv(pts), i.e. the
 // set X of extreme points of Section 4 of the paper: points p for which
-// the Voronoi cell R(p) is non-empty. The result is unordered for d ≥ 3
-// and in counterclockwise hull order for d = 2. Mixed-dimension or
-// non-finite input returns ErrBadInput.
+// the Voronoi cell R(p) is non-empty. For d ≥ 3 the result is unordered
+// (in a deterministic confirmation order); for d = 2 it is in
+// counterclockwise hull order. Mixed-dimension or non-finite input
+// returns ErrBadInput.
 //
 // The input should be in general position (use geom.Perturb on degenerate
 // data); exact duplicates are handled, but collinear/coplanar boundary
 // points may be classified arbitrarily within tolerance.
-func ExtremePoints(pts []geom.Vector, opts ...Option) ([]int, error) {
+func ExtremePoints(pts []geom.Vector) ([]int, error) {
 	if len(pts) == 0 {
 		return nil, nil
 	}
@@ -69,7 +64,7 @@ func ExtremePoints(pts []geom.Vector, opts ...Option) ([]int, error) {
 	case d == 2:
 		return Hull2D(pts)
 	default:
-		return clarkson(pts, opts...), nil
+		return clarkson(pts, false), nil
 	}
 }
 
@@ -82,14 +77,13 @@ func extreme1D(pts []geom.Vector) []int {
 	return []int{lo, hi}
 }
 
-func clarkson(pts []geom.Vector, opts ...Option) []int {
-	o := options{warmDirections: 128, seed: 1, tol: 1e-9}
-	for _, f := range opts {
-		f(&o)
-	}
+// clarkson runs the extreme-point loop for d ≥ 3. noWarm forces every
+// containment solve onto the cold two-phase path; the result is identical
+// either way, and the switch exists for the determinism tests.
+func clarkson(pts []geom.Vector, noWarm bool) []int {
 	d := pts[0].Dim()
 
-	inS := make(map[int]bool)
+	inS := make([]bool, len(pts))
 	var sIdx []int
 	var sPts []geom.Vector
 	add := func(i int) {
@@ -109,16 +103,17 @@ func clarkson(pts []geom.Vector, opts ...Option) []int {
 			add(j)
 		}
 	}
-	rng := rand.New(rand.NewSource(o.seed))
-	for k := 0; k < o.warmDirections; k++ {
+	rng := rand.New(rand.NewSource(1))
+	for k := 0; k < warmDirections; k++ {
 		j, _ := geom.MaxDot(pts, sphere.RandomDirection(rng, d))
 		add(j)
 	}
 
 	// Interior-simplex filter: d+1 spread vertices. Build from the first
 	// axis maxima plus the point farthest from their centroid.
-	st := buildInteriorSimplex(pts, sPts)
+	st := buildInteriorSimplex(sPts)
 
+	c := containmentLP{solver: lp.Solver{NoWarm: noWarm, ValueOnly: true}}
 	for i := range pts {
 		if inS[i] {
 			continue
@@ -128,13 +123,13 @@ func clarkson(pts []geom.Vector, opts ...Option) []int {
 			continue // strictly inside an inscribed simplex → not a vertex
 		}
 		for {
-			res, u := containmentTest(p, sPts, o.tol)
-			if res == gilbertInside {
+			u := c.separate(p, sPts)
+			if u == nil {
 				break
 			}
 			// Outside: the support point in direction u is a vertex.
 			j, supv := geom.MaxDot(pts, u)
-			if j == i || supv <= geom.Dot(p, u)+o.tol {
+			if j == i || supv <= geom.Dot(p, u)+clarksonTol {
 				// p itself is (tied for) the support point → p is extreme.
 				add(i)
 				break
@@ -151,9 +146,77 @@ func clarkson(pts []geom.Vector, opts ...Option) []int {
 	return sIdx
 }
 
+// containmentLP decides p ∈ conv(S) with one LP per vertex set S: find
+// λ ≥ 0 with Σλ_j s_j = p and Σλ_j = 1. The problem is retained while S
+// is unchanged and only its d coordinate right-hand sides are reset per
+// query, so the solver warm-starts from the previous point's basis.
+type containmentLP struct {
+	solver lp.Solver
+	prob   *lp.Problem
+	cols   int // |S| prob was built for
+}
+
+// separate returns nil if p ∈ conv(s), or a unit direction u with
+// ⟨p,u⟩ > max_{q∈s}⟨q,u⟩ + clarksonTol, verified exactly against s. s
+// only ever grows by appending, so its length identifies it.
+func (c *containmentLP) separate(p geom.Vector, s []geom.Vector) geom.Vector {
+	d := p.Dim()
+	if c.prob == nil || c.cols != len(s) {
+		c.build(p, s)
+	} else {
+		for dim := 0; dim < d; dim++ {
+			c.prob.SetConstraintRHS(dim, p[dim])
+		}
+	}
+	sol := c.solver.Solve(c.prob)
+	if sol.Status != lp.Infeasible {
+		// Optimal means inside. On solver distress, conservative
+		// "inside" would drop a potential vertex; conservative "outside"
+		// could loop. Treat as inside (the validation loss checks
+		// downstream catch real misses).
+		return nil
+	}
+	// The first d components of the Farkas certificate separate p from
+	// conv(s).
+	u := geom.Vector(sol.Farkas[:d])
+	if n := u.Norm(); n > 0 {
+		u = u.Scale(1 / n)
+	} else {
+		// Degenerate certificate; fall back to the direct direction.
+		u, _ = geom.Sub(p, geom.Centroid(s)).Normalize()
+	}
+	// Confirm the separation exactly; if it does not hold within
+	// tolerance, p is boundary-grade and treated as inside.
+	if _, smax := geom.MaxDot(s, u); geom.Dot(p, u) > smax+clarksonTol {
+		return u
+	}
+	return nil
+}
+
+// build replaces the retained problem with the containment LP over s at
+// right-hand side p.
+func (c *containmentLP) build(p geom.Vector, s []geom.Vector) {
+	prob := lp.NewProblem(len(s))
+	for j := range s {
+		prob.SetNonNegative(j)
+	}
+	row := make([]float64, len(s))
+	for dim := range p {
+		for j, q := range s {
+			row[j] = q[dim]
+		}
+		prob.AddEQ(row, p[dim])
+	}
+	for j := range row {
+		row[j] = 1
+	}
+	prob.AddEQ(row, 1)
+	c.prob, c.cols = prob, len(s)
+}
+
 // buildInteriorSimplex picks d+1 affinely independent confirmed vertices
 // and returns a tester for their simplex, or nil if none could be built.
-func buildInteriorSimplex(pts []geom.Vector, s []geom.Vector) *simplexTester {
+func buildInteriorSimplex(s []geom.Vector) *simplexTester {
 	if len(s) == 0 {
 		return nil
 	}
@@ -193,102 +256,51 @@ func buildInteriorSimplex(pts []geom.Vector, s []geom.Vector) *simplexTester {
 	return st
 }
 
-// containmentTest decides p vs conv(s) and returns gilbertInside, or
-// gilbertOutside with a separating direction verified against all of s.
-//
-// The test escalates through prefix tiers of s. The insertion order of s
-// puts spread support points first, so small prefixes are already good
-// hull approximations: p ∈ conv(prefix) certifies p ∈ conv(s) cheaply.
-// Gilbert's algorithm serves only as a fast *outside* detector (its
-// Frank–Wolfe iteration detects a separating gap in a handful of steps
-// for clearly-outside points, but converges too slowly to certify inside
-// at tight tolerance); inside certification uses the containment LP whose
-// cost scales with the tier size.
-func containmentTest(p geom.Vector, s []geom.Vector, tol float64) (gilbertResult, geom.Vector) {
-	for _, tier := range []int{64, 512, len(s)} {
-		if tier > len(s) {
-			tier = len(s)
-		}
-		sub := s[:tier]
-		// Quick outside check.
-		if res, u := gilbert(p, sub, tol, 24); res == gilbertOutside {
-			// The certificate is verified within sub; confirm against s.
-			if tier == len(s) {
-				return gilbertOutside, u
-			}
-			if _, smax := geom.MaxDot(s, u); geom.Dot(p, u) > smax+tol {
-				return gilbertOutside, u
-			}
-			// Separates from the prefix only; escalate.
-		}
-		res, u := lpContainment(p, sub, tol)
-		if res == gilbertInside {
-			if tier == len(s) {
-				return gilbertInside, nil
-			}
-			return gilbertInside, nil // conv(sub) ⊆ conv(s)
-		}
-		if res == gilbertOutside && tier == len(s) {
-			return gilbertOutside, u
-		}
-		if res == gilbertOutside {
-			if _, smax := geom.MaxDot(s, u); geom.Dot(p, u) > smax+tol {
-				return gilbertOutside, u
-			}
-		}
-		if tier == len(s) {
-			// Exhausted all tiers without a decision: boundary-grade point;
-			// classify as inside (bounded by tol, see package comment).
-			return gilbertInside, nil
-		}
-	}
-	return gilbertInside, nil
+// simplexTester reports whether p lies in the simplex spanned by d+1
+// vertices, within tolerance on the barycentric coordinates. ok=false
+// when the simplex is degenerate. This is the cheap O(d²)-per-query
+// interior filter applied before the containment LP.
+type simplexTester struct {
+	inv *geom.Matrix // inverse of the (d+1)×(d+1) homogeneous vertex matrix
+	d   int
+	ok  bool
 }
 
-// lpContainment solves the exact containment LP: find λ ≥ 0 with
-// Σλ_j s_j = p and Σλ_j = 1. Infeasibility yields a Farkas certificate
-// whose first d components separate p from conv(s).
-func lpContainment(p geom.Vector, s []geom.Vector, tol float64) (gilbertResult, geom.Vector) {
-	d := p.Dim()
-	prob := lp.NewProblem(len(s))
-	for j := range s {
-		prob.SetNonNegative(j)
+func newSimplexTester(vertices []geom.Vector) *simplexTester {
+	if len(vertices) == 0 {
+		return &simplexTester{ok: false}
 	}
-	row := make([]float64, len(s))
-	for dim := 0; dim < d; dim++ {
-		for j, q := range s {
-			row[j] = q[dim]
+	d := vertices[0].Dim()
+	if len(vertices) != d+1 {
+		return &simplexTester{ok: false}
+	}
+	m := geom.NewMatrix(d+1, d+1)
+	for j, v := range vertices {
+		for i := 0; i < d; i++ {
+			m.Set(i, j, v[i])
 		}
-		prob.AddEQ(row, p[dim])
+		m.Set(d, j, 1)
 	}
-	ones := make([]float64, len(s))
-	for j := range ones {
-		ones[j] = 1
+	inv, ok := m.Invert()
+	return &simplexTester{inv: inv, d: d, ok: ok}
+}
+
+// contains reports whether p is inside the simplex with barycentric slack
+// tol (tol < 0 shrinks the simplex, guaranteeing strict interiority). The
+// barycentric coordinates are inv·(p,1), accumulated row by row in place.
+func (st *simplexTester) contains(p geom.Vector, tol float64) bool {
+	if !st.ok {
+		return false
 	}
-	prob.AddEQ(ones, 1)
-	sol := prob.Solve()
-	switch sol.Status {
-	case lp.Optimal:
-		return gilbertInside, nil
-	case lp.Infeasible:
-		u := geom.Vector(sol.Farkas[:d]).Clone()
-		if n := u.Norm(); n > 0 {
-			u = u.Scale(1 / n)
-		} else {
-			// Degenerate certificate; fall back to the direct direction.
-			u, _ = geom.Sub(p, geom.Centroid(s)).Normalize()
+	for i := 0; i <= st.d; i++ {
+		row := st.inv.Row(i)
+		var l float64
+		for j, x := range p {
+			l += row[j] * x
 		}
-		// Confirm the separation exactly; if it does not hold within
-		// tolerance, p is boundary-grade and treated as inside.
-		_, smax := geom.MaxDot(s, u)
-		if geom.Dot(p, u) > smax+tol {
-			return gilbertOutside, u
+		if l+row[st.d] < -tol {
+			return false
 		}
-		return gilbertInside, nil
-	default:
-		// Solver distress on a tiny LP: conservative "inside" would drop a
-		// potential vertex; conservative "outside" could loop. Treat as
-		// inside (the validation loss checks downstream catch real misses).
-		return gilbertInside, nil
 	}
+	return true
 }

@@ -179,7 +179,7 @@ func TestClarksonMatchesHull2DLifted(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Hull3D: %v", err)
 		}
-		ext := mustExtremePoints(t, pts, WithSeed(int64(trial)))
+		ext := mustExtremePoints(t, pts)
 		sort.Ints(ext)
 		if len(ext) != len(mesh.Vertices) {
 			t.Fatalf("trial %d: Clarkson %d vertices vs Hull3D %d\n%v\n%v",
@@ -359,25 +359,6 @@ func TestExtremePointsEmpty(t *testing.T) {
 	}
 }
 
-func TestGilbertInsideOutside(t *testing.T) {
-	s := []geom.Vector{{0, 0}, {2, 0}, {0, 2}}
-	res, _ := gilbert(geom.Vector{0.3, 0.3}, s, 1e-9, 200)
-	if res == gilbertOutside {
-		t.Fatal("interior point classified outside")
-	}
-	res, u := gilbert(geom.Vector{3, 3}, s, 1e-9, 200)
-	if res != gilbertOutside {
-		t.Fatalf("far point not outside: %v", res)
-	}
-	// Certificate must separate.
-	pu := geom.Dot(geom.Vector{3, 3}, u)
-	for _, q := range s {
-		if pu <= geom.Dot(q, u) {
-			t.Fatal("certificate does not separate")
-		}
-	}
-}
-
 func TestSimplexTester(t *testing.T) {
 	st := newSimplexTester([]geom.Vector{{0, 0}, {1, 0}, {0, 1}})
 	if !st.ok {
@@ -440,9 +421,9 @@ func mustHull2D(t testing.TB, pts []geom.Vector) []int {
 	return h
 }
 
-func mustExtremePoints(t testing.TB, pts []geom.Vector, opts ...Option) []int {
+func mustExtremePoints(t testing.TB, pts []geom.Vector) []int {
 	t.Helper()
-	x, err := ExtremePoints(pts, opts...)
+	x, err := ExtremePoints(pts)
 	if err != nil {
 		t.Fatalf("ExtremePoints: %v", err)
 	}

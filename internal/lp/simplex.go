@@ -847,14 +847,20 @@ func (s *Solver) canonicalBasis() ([]int, []float64) {
 // from the canonical basic values, without expanding them over all
 // variables. Zero-coefficient objective terms are skipped: in the full
 // path they contribute an exact ±0.0 to the sum, so the accumulated
-// value is identical up to the sign of a zero total.
+// value is identical up to the sign of a zero total. The basis re-solve
+// runs only once a nonzero coefficient needs it, so a pure feasibility
+// problem (the Clarkson containment LP) skips it entirely.
 func (s *Solver) canonicalValue(p *Problem) float64 {
 	t := &s.t
-	cols, vals := s.canonicalBasis()
+	var cols []int
+	var vals []float64
 	var v float64
 	for i, cf := range p.objective {
 		if cf == 0 {
 			continue
+		}
+		if cols == nil {
+			cols, vals = s.canonicalBasis()
 		}
 		pc, mc := t.varMap[i][0], t.varMap[i][1]
 		xi := basicValue(cols, vals, pc)

@@ -103,12 +103,14 @@ GOMAXPROCS=4 go test -race -count=1 \
 # Raw speed: the warm-start/prefilter determinism contract under the
 # race detector — the pooled, warm-started dominance-graph build and the
 # prefiltered work instance must reproduce the cold/unfiltered results
-# bit for bit across worker counts — then the allocation-regression
+# bit for bit across worker counts, and the warm-started Clarkson hull
+# pass must match the 3D hull, a brute-force LP per point, and its own
+# cold-solve run bit for bit — then the allocation-regression
 # gates, run plain because race instrumentation inflates alloc counts
 # (the gate files are excluded via //go:build !race).
-echo "== raw speed (warm-start determinism, prefilter exactness, alloc gates)"
+echo "== raw speed (warm-start determinism, prefilter exactness, hull differentials, alloc gates)"
 GOMAXPROCS=4 go test -race -count=1 \
-    -run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestPrefilter' . ./internal/core/ ./internal/lp/
-go test -count=1 -run 'TestSolverAllocsSteadyState|TestEdgeLPAllocs' ./internal/lp/ ./internal/core/
+    -run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestPrefilter|TestClarksonMatchesHull3D|TestClarksonMatchesBruteForce|TestClarksonColdMatchesWarmBitwise' . ./internal/core/ ./internal/lp/ ./internal/hull/
+go test -count=1 -run 'TestSolverAllocsSteadyState|TestEdgeLPAllocs|TestClarksonAllocs' ./internal/lp/ ./internal/core/ ./internal/hull/
 
 echo "verify: OK"
