@@ -120,11 +120,13 @@ bench-cache:
 bench-speed:
 	./scripts/bench_speed.sh
 
-# Raw-speed correctness: the warm-start/prefilter determinism matrix and
-# the Clarkson hull differential tests under the race detector, then the allocation-regression gates (plain —
-# race instrumentation inflates alloc counts, and the gate files are
-# built with //go:build !race).
+# Raw-speed correctness: the warm-start/prefilter determinism matrix,
+# the Clarkson hull differential tests, the flat-kernel and sampled-
+# screen differentials and the golden selection check under the race
+# detector, then the allocation-regression gates (plain — race
+# instrumentation inflates alloc counts, and the gate files are built
+# with //go:build !race).
 speed:
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
-		-run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestPrefilter|TestClarksonMatchesHull3D|TestClarksonMatchesBruteForce|TestClarksonColdMatchesWarmBitwise' . ./internal/core/ ./internal/lp/ ./internal/hull/
-	$(GO) test -count=1 -run 'TestSolverAllocsSteadyState|TestEdgeLPAllocs|TestClarksonAllocs' ./internal/lp/ ./internal/core/ ./internal/hull/
+		-run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestPrefilter|TestClarksonMatchesHull3D|TestClarksonMatchesBruteForce|TestClarksonColdMatchesWarmBitwise|TestRowsMatchGeomDot|TestSampledScreenMatchesMaxLoss|TestSelectionMatchesParentGolden' . ./internal/core/ ./internal/lp/ ./internal/hull/ ./internal/geom/
+	$(GO) test -count=1 -run 'TestSolverAllocsSteadyState|TestEdgeLPAllocs|TestClarksonAllocs|TestOmegaAllocs' ./internal/lp/ ./internal/core/ ./internal/hull/

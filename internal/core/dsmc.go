@@ -440,7 +440,7 @@ func (inst *Instance) cellWitnesses(samples, maxPer int) [][]geom.Vector {
 	out := make([][]geom.Vector, inst.Xi())
 	dirs := sphere.RandomDirections(samples, inst.D, 97)
 	for _, u := range dirs {
-		j, _ := inst.extTree.MaxDot(u)
+		j, _ := inst.ext.MaxDot(u)
 		if len(out[j]) < maxPer {
 			out[j] = append(out[j], u)
 		}
@@ -632,11 +632,11 @@ func (inst *Instance) DSMCRefinedCtx(ctx context.Context, dg *DominanceGraph, ep
 		}
 		// Cheap sampled lower bound first; the exact evaluator only runs
 		// on candidates that survive it.
-		ml, err := inst.maxLossSampledCtx(ctx, q, 2048, 31+int64(k))
+		ok, err := inst.sampledLossWithin(ctx, q, eps, 2048, 31+int64(k))
 		if err != nil {
 			return nil, err
 		}
-		if ml > eps {
+		if !ok {
 			continue
 		}
 		l, err := inst.LossCtx(ctx, q)

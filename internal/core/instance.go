@@ -26,7 +26,6 @@ import (
 
 	"mincore/internal/geom"
 	"mincore/internal/hull"
-	"mincore/internal/mips"
 	"mincore/internal/transform"
 	"mincore/internal/voronoi"
 )
@@ -60,15 +59,9 @@ type Instance struct {
 	// 2D-only caches (nil in higher dimensions).
 	BoundaryVecs []geom.Vector // u*_i between consecutive extreme points
 
-	tree    *mips.KDTree // over Pts
-	extTree *mips.KDTree // over ExtPts
-
-	// SCMC substrate memo: the sampled directions of a doubling stage and
-	// their exact directional maxima are pure functions of (m, seed) and
-	// independent of ε, so ε sweeps and repeated builds share them. See
-	// scmcDirBlock.
-	scmcMu     sync.Mutex
-	scmcBlocks map[scmcBlockKey]*scmcBlock
+	// ext holds ExtPts as one row-major block: every ω(P,u), argmax and
+	// γ-threshold query is a flat scan over it (geom.Rows).
+	ext geom.Rows
 
 	// Dominance-graph substrate memo: the witness directions and the
 	// warm-start scan tour are pure deterministic functions of the
@@ -80,8 +73,9 @@ type Instance struct {
 }
 
 // NewInstance preprocesses pts: extracts extreme points (Clarkson / hulls),
-// measures fatness, and builds search structures. pts must already be
-// α-fat in [−1,1]^d; it is retained, not copied.
+// measures fatness, and lays the extreme points out for directional
+// queries. pts must already be α-fat in [−1,1]^d; it is retained, not
+// copied.
 func NewInstance(pts []geom.Vector) (*Instance, error) {
 	if len(pts) == 0 {
 		return nil, fmt.Errorf("core: empty point set")
@@ -107,6 +101,7 @@ func NewInstance(pts []geom.Vector) (*Instance, error) {
 	for i, id := range inst.X {
 		inst.ExtPts[i] = pts[id]
 	}
+	inst.ext = geom.NewRows(inst.ExtPts)
 	inst.Alpha = transform.EmpiricalFatness(inst.ExtPts, 1024, 1)
 	if inst.Alpha <= 0 {
 		return nil, fmt.Errorf("core: point set is not fat (α=%g ≤ 0); apply transform.Fatten first", inst.Alpha)
@@ -118,17 +113,15 @@ func NewInstance(pts []geom.Vector) (*Instance, error) {
 		}
 		inst.BoundaryVecs = bv
 	}
-	inst.tree = mips.NewKDTree(pts)
-	inst.extTree = mips.NewKDTree(inst.ExtPts)
 	return inst, nil
 }
 
 // NewInstanceFromExtremes builds an instance over a point set that is
 // already known to consist solely of extreme points in canonical order —
 // the ExtPts of a previously built instance (CCW-sorted for d=2). It
-// skips hull enumeration entirely: X is the identity and both search
-// trees share one kd-tree. This is the extreme-point prefilter's work
-// instance: every derived structure (ExtPts order, fatness, boundary
+// skips hull enumeration entirely: X is the identity and the point set
+// is its own extreme-point block. This is the extreme-point prefilter's
+// work instance: every derived structure (ExtPts order, fatness, boundary
 // vectors) is bitwise identical to the parent's, so algorithms running
 // on it produce the same selections as on the parent, just over ξ
 // points instead of n.
@@ -143,6 +136,7 @@ func NewInstanceFromExtremes(extPts []geom.Vector) (*Instance, error) {
 		inst.X[i] = i
 	}
 	inst.ExtPts = extPts
+	inst.ext = geom.NewRows(extPts)
 	inst.Alpha = transform.EmpiricalFatness(inst.ExtPts, 1024, 1)
 	if inst.Alpha <= 0 {
 		return nil, fmt.Errorf("core: point set is not fat (α=%g ≤ 0); apply transform.Fatten first", inst.Alpha)
@@ -154,8 +148,6 @@ func NewInstanceFromExtremes(extPts []geom.Vector) (*Instance, error) {
 		}
 		inst.BoundaryVecs = bv
 	}
-	inst.tree = mips.NewKDTree(extPts)
-	inst.extTree = inst.tree
 	return inst, nil
 }
 
@@ -168,21 +160,26 @@ func (inst *Instance) Xi() int { return len(inst.X) }
 // Omega returns ω(P,u) = max_{p∈P} ⟨p,u⟩, evaluated over the extreme
 // points (which realize every directional maximum).
 func (inst *Instance) Omega(u geom.Vector) float64 {
-	_, w := inst.extTree.MaxDot(u)
+	_, w := inst.ext.MaxDot(u)
 	return w
 }
 
-// ExtremeAt returns the index (into Pts) of the extreme point for u.
+// ExtremeAt returns the index (into Pts) of the extreme point for u,
+// ties to the smaller extreme-point index.
 func (inst *Instance) ExtremeAt(u geom.Vector) int {
-	i, _ := inst.extTree.MaxDot(u)
+	i, _ := inst.ext.MaxDot(u)
 	return inst.X[i]
 }
 
-// Tree exposes the kd-tree over all points (used by SCMC's range queries).
-func (inst *Instance) Tree() *mips.KDTree { return inst.tree }
-
-// ExtTree exposes the kd-tree over the extreme points.
-func (inst *Instance) ExtTree() *mips.KDTree { return inst.extTree }
+// rowsOf gathers the points with the given indices into a row-major
+// block, in the given order.
+func (inst *Instance) rowsOf(ids []int) geom.Rows {
+	r := geom.Rows{R: make([]float64, 0, len(ids)*inst.D), D: inst.D}
+	for _, id := range ids {
+		r.R = append(r.R, inst.Pts[id]...)
+	}
+	return r
+}
 
 // sortedByAngle returns the given point indices sorted CCW by polar angle
 // (2D helper).

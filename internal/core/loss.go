@@ -10,7 +10,6 @@ import (
 	"mincore/internal/geom"
 	"mincore/internal/hull"
 	"mincore/internal/lp"
-	"mincore/internal/mips"
 	"mincore/internal/obs"
 	"mincore/internal/parallel"
 	"mincore/internal/sphere"
@@ -104,7 +103,7 @@ func (inst *Instance) LossExact2DCtx(ctx context.Context, q []int) (float64, err
 			geom.UnitFromTheta(th+math.Pi/2), geom.UnitFromTheta(th-math.Pi/2))
 	}
 
-	qTree := mips.NewKDTree(ordered)
+	qRows := geom.NewRows(ordered)
 	losses := make([]float64, len(candidates))
 	err = parallel.For(ctx, inst.Workers, len(candidates), func(k int) {
 		u := candidates[k]
@@ -112,7 +111,7 @@ func (inst *Instance) LossExact2DCtx(ctx context.Context, q []int) (float64, err
 		if wp <= 0 {
 			return // cannot happen on a fat instance
 		}
-		_, wq := qTree.MaxDot(u)
+		_, wq := qRows.MaxDot(u)
 		losses[k] = 1 - wq/wp
 	})
 	if err != nil {
@@ -318,30 +317,65 @@ func (inst *Instance) LossSampledCtx(ctx context.Context, q []int, dirs []geom.V
 	if obs.On() {
 		mLossSampled.Inc()
 	}
-	qpts := make([]geom.Vector, len(q))
-	for i, id := range q {
-		qpts[i] = inst.Pts[id]
-	}
-	qTree := mips.NewKDTree(qpts)
+	qRows := inst.rowsOf(q)
 	out := make([]float64, len(dirs))
 	err := parallel.For(ctx, inst.Workers, len(dirs), func(k int) {
-		u := dirs[k]
-		wp := inst.Omega(u)
-		if wp <= 0 {
-			out[k] = 0
-			return
-		}
-		if len(qpts) == 0 {
-			out[k] = 1
-			return
-		}
-		_, wq := qTree.MaxDot(u)
-		out[k] = clampLoss(1 - wq/wp)
+		out[k] = inst.sampledLoss(qRows, dirs[k])
 	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// sampledLoss is one direction's loss 1 − ω(Q,u)/ω(P,u), clamped to
+// [0,1], with Q given as a row block (0 where ω(P,u) ≤ 0, 1 for an
+// empty Q).
+func (inst *Instance) sampledLoss(qRows geom.Rows, u geom.Vector) float64 {
+	wp := inst.Omega(u)
+	if wp <= 0 {
+		return 0
+	}
+	if qRows.Len() == 0 {
+		return 1
+	}
+	_, wq := qRows.MaxDot(u)
+	return clampLoss(1 - wq/wp)
+}
+
+// sampledScreenChunk is the number of consecutive directions one
+// sampledLossWithin work item evaluates between stop-flag checks.
+const sampledScreenChunk = 64
+
+// sampledLossWithin reports whether maxLossSampledCtx(ctx, q, samples,
+// seed) ≤ eps without computing the maximum: it evaluates the same
+// per-direction losses, in fixed chunks of directions spread over the
+// workers, and stops at the first direction whose loss exceeds eps. The
+// decision is a pure function of the losses (some loss > eps or not),
+// so it is identical for every worker count. It counts as one sampled
+// loss-oracle call.
+func (inst *Instance) sampledLossWithin(ctx context.Context, q []int, eps float64, samples int, seed int64) (bool, error) {
+	if obs.On() {
+		mLossSampled.Inc()
+	}
+	dirs := sphere.RandomDirections(samples, inst.D, seed)
+	qRows := inst.rowsOf(q)
+	var violated atomic.Bool
+	chunks := (len(dirs) + sampledScreenChunk - 1) / sampledScreenChunk
+	err := parallel.For(ctx, inst.Workers, chunks, func(c int) {
+		end := min((c+1)*sampledScreenChunk, len(dirs))
+		for k := c * sampledScreenChunk; k < end && !violated.Load(); k++ {
+			if inst.sampledLoss(qRows, dirs[k]) > eps {
+				violated.Store(true)
+			}
+		}
+	})
+	if err != nil {
+		return false, err
+	}
+	// The maximum starts from 0, so a negative eps is exceeded even by an
+	// empty or all-zero sample.
+	return !violated.Load() && eps >= 0, nil
 }
 
 // MaxLossSampled is the maximum of LossSampled — a lower bound on the

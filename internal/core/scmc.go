@@ -61,10 +61,10 @@ func (inst *Instance) SCMC(eps float64, opts SCMCOptions) ([]int, int, error) {
 // between doubling stages and propagated into the parallel set-system
 // construction and loss validations.
 //
-// The per-stage substrate — the sampled directions and their exact
-// directional maxima ω(P,u), both independent of ε — is memoized on the
-// instance (scmcDirBlock), so an ε sweep or repeated builds at different
-// ε redo only the ε-dependent threshold queries and set cover.
+// Each stage draws its directions afresh and computes ω(P,u) in the same
+// flat pass over the extreme points that collects the γ-threshold hits,
+// so there is no ε-independent substrate left worth memoizing across an
+// ε sweep.
 func (inst *Instance) SCMCCtx(ctx context.Context, eps float64, opts SCMCOptions) ([]int, int, error) {
 	if eps <= 0 || eps >= 1 {
 		return nil, 0, fmt.Errorf("core: SCMC requires ε ∈ (0,1), got %g", eps)
@@ -76,22 +76,19 @@ func (inst *Instance) SCMCCtx(ctx context.Context, eps float64, opts SCMCOptions
 		if obs.On() {
 			mSCMCRounds.Inc()
 		}
-		dirs, omega, err := inst.scmcDirBlock(ctx, m, seed)
-		if err != nil {
-			return nil, 0, err
-		}
-		q, err := inst.scmcSolveOmega(ctx, dirs, omega, opts.Gamma)
+		dirs := sphere.RandomDirections(m, inst.D, seed+int64(m))
+		q, err := inst.scmcSolveCtx(ctx, dirs, opts.Gamma)
 		if err != nil {
 			return nil, 0, err
 		}
 		// Sampled lower bound screens out clearly-invalid stages before
 		// paying for the exact loss.
 		if len(q) > 0 {
-			ml, err := inst.maxLossSampledCtx(ctx, q, 2048, seed+int64(m)+5)
+			ok, err := inst.sampledLossWithin(ctx, q, eps, 2048, seed+int64(m)+5)
 			if err != nil {
 				return nil, 0, err
 			}
-			if ml <= eps {
+			if ok {
 				l, err := inst.LossCtx(ctx, q)
 				if err != nil {
 					return nil, 0, err
@@ -131,60 +128,6 @@ func (inst *Instance) SCMCNet(eps, delta float64, opts SCMCOptions) ([]int, int,
 	return q, len(net), nil
 }
 
-// scmcBlockKey identifies one memoized sampling stage.
-type scmcBlockKey struct {
-	m    int
-	seed int64
-}
-
-// scmcBlock is the ε-independent substrate of one SCMC doubling stage.
-type scmcBlock struct {
-	dirs  []geom.Vector
-	omega []float64 // ω(P, dirs[k]), exact
-}
-
-// scmcBlockCap bounds the per-instance substrate memo. Blocks are pure
-// functions of their key, so eviction affects speed, never results; the
-// largest doubling stages dominate memory, hence the small cap.
-const scmcBlockCap = 4
-
-// scmcDirBlock returns the sampled directions for a doubling stage
-// together with their exact directional maxima, memoized on the
-// instance. Both are ε-independent: the directions derive only from
-// (m, d, seed) and ω(P,u) only from the point set, so every build — any
-// ε, any worker count — sees identical values.
-func (inst *Instance) scmcDirBlock(ctx context.Context, m int, seed int64) ([]geom.Vector, []float64, error) {
-	key := scmcBlockKey{m: m, seed: seed}
-	inst.scmcMu.Lock()
-	if b, ok := inst.scmcBlocks[key]; ok {
-		inst.scmcMu.Unlock()
-		return b.dirs, b.omega, nil
-	}
-	inst.scmcMu.Unlock()
-	dirs := sphere.RandomDirections(m, inst.D, seed+int64(m))
-	omega := make([]float64, len(dirs))
-	if err := parallel.For(ctx, inst.Workers, len(dirs), func(k int) {
-		omega[k] = inst.Omega(dirs[k])
-	}); err != nil {
-		return nil, nil, err
-	}
-	inst.scmcMu.Lock()
-	if inst.scmcBlocks == nil {
-		inst.scmcBlocks = make(map[scmcBlockKey]*scmcBlock)
-	}
-	if _, ok := inst.scmcBlocks[key]; !ok {
-		if len(inst.scmcBlocks) >= scmcBlockCap {
-			for k := range inst.scmcBlocks {
-				delete(inst.scmcBlocks, k)
-				break
-			}
-		}
-		inst.scmcBlocks[key] = &scmcBlock{dirs: dirs, omega: omega}
-	}
-	inst.scmcMu.Unlock()
-	return dirs, omega, nil
-}
-
 // scmcSolve builds the set system over the given directions and returns
 // the greedy cover's points (Lines 1–11 of Algorithm 4). Directions whose
 // maximum is nonpositive (impossible on fat instances) are skipped.
@@ -193,56 +136,26 @@ func (inst *Instance) scmcSolve(dirs []geom.Vector, gamma float64) ([]int, error
 }
 
 // scmcSolveCtx is scmcSolve with cooperative cancellation. The per-
-// direction range queries — one exact MIPS plus one inner-product
-// threshold query each — run in parallel, each direction writing its hit
-// list into its own slot; the inversion into per-point sets then walks
-// the slots in direction order and sorts the set owners by point id, so
-// the set system (and hence the greedy cover) is identical for every
-// worker count.
-func (inst *Instance) scmcSolveCtx(ctx context.Context, dirs []geom.Vector, gamma float64) ([]int, error) {
-	return inst.scmcSolveOmega(ctx, dirs, nil, gamma)
-}
-
-// scmcSolveOmega is scmcSolveCtx with optionally precomputed directional
-// maxima (omega[k] = ω(P, dirs[k]); nil computes them inline). The
-// precomputed values are the same exact MIPS answers the inline path
-// produces, so results are bitwise identical either way.
+// direction hit lists are computed in parallel (scmcHits); the inversion
+// into per-point sets then walks them in direction order and sorts the
+// set owners by extreme-point index, so the set system (and hence the
+// greedy cover) is identical for every worker count.
 //
 // Candidates are restricted to the extreme points: every direction's
 // exact maximizer is extreme and lies in its own γ-approximate set, so a
 // cover over extreme candidates always exists, and the doubling loop
 // revalidates each stage with the exact loss — the restriction never
 // costs correctness. It also keys the whole computation (threshold
-// queries, owner ordering, greedy tie-breaks) to the extreme-point
+// hits, owner ordering, greedy tie-breaks) to the extreme-point
 // indexing, which is what makes the extreme-point prefilter's work
-// instance produce exactly the same cover as the full instance, and
-// shrinks the range queries from n points to ξ.
-func (inst *Instance) scmcSolveOmega(ctx context.Context, dirs []geom.Vector, omega []float64, gamma float64) ([]int, error) {
-	// Stage 1 (parallel): for each direction, collect the extreme points
-	// within the γ-approximation of the maximum.
-	hits := make([][]int, len(dirs))
-	skip := make([]bool, len(dirs))
-	bufs := make([][]int, parallel.WorkersFor(inst.Workers, len(dirs)))
-	err := parallel.ForWorker(ctx, inst.Workers, len(dirs), func(w, k int) {
-		u := dirs[k]
-		var wmax float64
-		if omega != nil {
-			wmax = omega[k]
-		} else {
-			wmax = inst.Omega(u)
-		}
-		if wmax <= 0 {
-			skip[k] = true
-			return
-		}
-		bufs[w] = inst.extTree.AboveThreshold(u, (1-gamma)*wmax, bufs[w][:0])
-		hits[k] = append([]int(nil), bufs[w]...)
-	})
+// instance produce exactly the same cover as the full instance.
+func (inst *Instance) scmcSolveCtx(ctx context.Context, dirs []geom.Vector, gamma float64) ([]int, error) {
+	hits, skip, err := inst.scmcHits(ctx, dirs, gamma)
 	if err != nil {
 		return nil, err
 	}
-	// Stage 2 (sequential): compact skipped directions and invert into
-	// per-extreme-point sets in direction order.
+	// Compact skipped directions and invert into per-extreme-point sets
+	// in direction order.
 	perPoint := make(map[int][]int)
 	kept := 0
 	for k := range hits {
@@ -279,6 +192,47 @@ func (inst *Instance) scmcSolveOmega(ctx context.Context, dirs []geom.Vector, om
 		out[i] = inst.X[owners[s]]
 	}
 	return out, nil
+}
+
+// scmcHits is the set system's parallel stage: for each direction u, one
+// flat dot row over the extreme points yields both ω(P,u) (its maximum)
+// and the extreme points within the γ-approximation of it, hits[k] in
+// ascending extreme-point index. skip[k] marks directions whose maximum
+// is nonpositive. Each direction writes only its own slots, and the only
+// per-direction allocation is its hit list.
+func (inst *Instance) scmcHits(ctx context.Context, dirs []geom.Vector, gamma float64) ([][]int, []bool, error) {
+	hits := make([][]int, len(dirs))
+	skip := make([]bool, len(dirs))
+	// Per-worker scratch: one dot row and one hit buffer each.
+	xi := inst.ext.Len()
+	nw := parallel.WorkersFor(inst.Workers, len(dirs))
+	rows := make([]float64, nw*xi)
+	idx := make([]int, nw*xi)
+	err := parallel.ForWorker(ctx, inst.Workers, len(dirs), func(w, k int) {
+		dots := inst.ext.Dots(dirs[k], rows[w*xi:(w+1)*xi])
+		wmax := dots[0]
+		for _, v := range dots[1:] {
+			if v > wmax {
+				wmax = v
+			}
+		}
+		if wmax <= 0 {
+			skip[k] = true
+			return
+		}
+		tau := (1 - gamma) * wmax
+		buf := idx[w*xi : w*xi : (w+1)*xi]
+		for i, v := range dots {
+			if v >= tau {
+				buf = append(buf, i)
+			}
+		}
+		hits[k] = append([]int(nil), buf...)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return hits, skip, nil
 }
 
 // SCMCAdaptive is the data-dependent sampling improvement sketched at the

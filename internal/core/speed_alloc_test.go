@@ -2,7 +2,12 @@
 
 package core
 
-import "testing"
+import (
+	"context"
+	"testing"
+
+	"mincore/internal/sphere"
+)
 
 // Allocation-regression gate on the dominance-graph edge-LP loop: the
 // pooled per-worker solvers and per-cell problems keep the build at a
@@ -30,5 +35,46 @@ func TestEdgeLPAllocs(t *testing.T) {
 	if avg > ceiling {
 		t.Fatalf("DG build allocates %.0f objects (ξ=%d, %.1f/cell), ceiling %.0f — the allocation diet regressed",
 			avg, xi, avg/float64(xi), ceiling)
+	}
+}
+
+// Allocation gate on the flat extreme-point kernel: Omega and ExtremeAt
+// run once per sampled direction in every loss screen and DG witness
+// pass, so they must not allocate; SCMC's fused ω/threshold pass
+// allocates, per direction block, a few shared slices and per-worker
+// scratch beyond the per-direction hit lists, never per direction.
+func TestOmegaAllocs(t *testing.T) {
+	inst := gaussianInstance(t, 2000, 5, 3)
+	dirs := sphere.RandomDirections(512, inst.D, 9)
+	u := dirs[0]
+	if a := testing.AllocsPerRun(100, func() { inst.Omega(u) }); a != 0 {
+		t.Fatalf("Omega allocates %.1f objects per call, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { inst.ExtremeAt(u) }); a != 0 {
+		t.Fatalf("ExtremeAt allocates %.1f objects per call, want 0", a)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		inst.Workers = workers
+		hits, _, err := inst.scmcHits(context.Background(), dirs, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hitSlices := 0
+		for _, h := range hits {
+			if len(h) > 0 {
+				hitSlices++
+			}
+		}
+		avg := testing.AllocsPerRun(5, func() {
+			if _, _, err := inst.scmcHits(context.Background(), dirs, 0.05); err != nil {
+				t.Fatal(err)
+			}
+		})
+		extra, ceiling := avg-float64(hitSlices), float64(2*workers+8)
+		t.Logf("workers=%d: %.0f allocations beyond %d hit lists (ceiling %.0f)", workers, extra, hitSlices, ceiling)
+		if extra > ceiling {
+			t.Fatalf("workers=%d: scmcHits allocates %.0f objects beyond its %d hit lists, ceiling %.0f",
+				workers, extra, hitSlices, ceiling)
+		}
 	}
 }

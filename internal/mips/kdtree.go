@@ -2,9 +2,10 @@
 // approximate nearest-neighbor (ANN) queries over low-dimensional point
 // sets via a kd-tree with branch-and-bound pruning. It substitutes for the
 // ANN library of Mount used by the paper's baseline implementation [45]:
-// the ANN ε-kernel algorithm issues one (approximate) extreme-point query
-// per grid direction, and SCMC's set-system construction issues one exact
-// MIPS plus one inner-product range query per sampled direction.
+// the ANN ε-kernel algorithm (internal/kernel) issues one (approximate)
+// extreme-point query per grid direction. The core algorithms issue no
+// MIPS or range queries: their directional maxima run over the ξ extreme
+// points only, where a flat scan (geom.Rows) beats the tree.
 package mips
 
 import (
@@ -200,33 +201,6 @@ func (t *KDTree) MaxDot(u geom.Vector) (int, float64) {
 	}
 	rec(0)
 	return best, bestV
-}
-
-// AboveThreshold appends to dst the indices of all points with
-// ⟨p,u⟩ ≥ tau and returns the result (a halfspace range query).
-func (t *KDTree) AboveThreshold(u geom.Vector, tau float64, dst []int) []int {
-	if len(t.pts) == 0 {
-		return dst
-	}
-	var rec func(ni int)
-	rec = func(ni int) {
-		n := &t.nodes[ni]
-		if n.boxMaxDot(u) < tau {
-			return
-		}
-		if n.axis < 0 {
-			for _, pi := range t.perm[n.lo:n.hi] {
-				if geom.Dot(t.pts[pi], u) >= tau {
-					dst = append(dst, pi)
-				}
-			}
-			return
-		}
-		rec(n.left)
-		rec(n.right)
-	}
-	rec(0)
-	return dst
 }
 
 // NearestNeighbor returns the index and distance of the point nearest to

@@ -58,43 +58,6 @@ func TestMaxDotEmptyPanics(t *testing.T) {
 	NewKDTree(nil).MaxDot(geom.Vector{1, 0})
 }
 
-func TestAboveThreshold(t *testing.T) {
-	pts := randomPoints(3000, 4, 11)
-	tree := NewKDTree(pts)
-	rng := rand.New(rand.NewSource(12))
-	for k := 0; k < 50; k++ {
-		u := sphere.RandomDirection(rng, 4)
-		_, mx := geom.MaxDot(pts, u)
-		tau := 0.8 * mx
-		got := tree.AboveThreshold(u, tau, nil)
-		var want []int
-		for i, p := range pts {
-			if geom.Dot(p, u) >= tau {
-				want = append(want, i)
-			}
-		}
-		sort.Ints(got)
-		if len(got) != len(want) {
-			t.Fatalf("count %d vs %d", len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("sets differ at %d", i)
-			}
-		}
-	}
-}
-
-func TestAboveThresholdAppendsToDst(t *testing.T) {
-	pts := []geom.Vector{{1, 0}, {0, 1}}
-	tree := NewKDTree(pts)
-	dst := []int{42}
-	dst = tree.AboveThreshold(geom.Vector{1, 0}, 0.5, dst)
-	if len(dst) != 2 || dst[0] != 42 || dst[1] != 0 {
-		t.Fatalf("dst = %v", dst)
-	}
-}
-
 func TestNearestNeighborExact(t *testing.T) {
 	pts := randomPoints(2000, 3, 21)
 	tree := NewKDTree(pts)
@@ -209,10 +172,6 @@ func TestKDTreeDuplicatePoints(t *testing.T) {
 	i, v := tree.MaxDot(geom.Vector{0, 1})
 	if v != 1 {
 		t.Fatalf("MaxDot with duplicates: %d,%v", i, v)
-	}
-	got := tree.AboveThreshold(geom.Vector{0, 1}, 0.5, nil)
-	if len(got) != 3 {
-		t.Fatalf("AboveThreshold with duplicates: %v", got)
 	}
 }
 

@@ -15,24 +15,41 @@ import (
 // RandomDirection returns a uniformly distributed unit vector in R^d using
 // the Gaussian method.
 func RandomDirection(rng *rand.Rand, d int) geom.Vector {
+	v := geom.NewVector(d)
+	fillDirection(rng, v)
+	return v
+}
+
+// fillDirection overwrites v with a random unit vector: Gaussian
+// coordinates scaled by the reciprocal of their norm (bitwise what
+// geom.Vector.Normalize returns), redrawn on a zero vector.
+func fillDirection(rng *rand.Rand, v geom.Vector) {
 	for {
-		v := geom.NewVector(d)
 		for i := range v {
 			v[i] = rng.NormFloat64()
 		}
-		if u, ok := v.Normalize(); ok {
-			return u
+		n := v.Norm()
+		if n == 0 {
+			continue
 		}
+		inv := 1 / n
+		for i := range v {
+			v[i] *= inv
+		}
+		return
 	}
 }
 
 // RandomDirections returns n uniformly distributed unit vectors in R^d,
-// deterministically from the seed.
+// deterministically from the seed. The vectors share one backing array
+// (each capped at its own d coordinates).
 func RandomDirections(n, d int, seed int64) []geom.Vector {
 	rng := rand.New(rand.NewSource(seed))
+	buf := make([]float64, n*d)
 	out := make([]geom.Vector, n)
 	for i := range out {
-		out[i] = RandomDirection(rng, d)
+		out[i] = buf[i*d : (i+1)*d : (i+1)*d]
+		fillDirection(rng, out[i])
 	}
 	return out
 }

@@ -619,10 +619,8 @@ func sameIndices(a, b []int) bool {
 
 // CoresetSweep builds certified coresets for a ladder of ε values in one
 // batch, sharing the ε-independent substrate across the ladder: the
-// dominance graph (DSMC) is built once up front, SCMC's direction
-// samples and per-direction maxima are memoized on the instance, and
-// results land in the build cache, so overlapping sweeps and later
-// single builds reuse them. Probes run in parallel on the Coreseter's
+// dominance graph (DSMC) is built once up front and results land in the
+// build cache, so overlapping sweeps and later single builds reuse them. Probes run in parallel on the Coreseter's
 // worker budget. Results are returned in epsList order and are bitwise
 // identical to individual CoresetCtx calls at the same ε. Per-ε failures
 // are joined into the returned error; successful entries remain filled.

@@ -1,9 +1,17 @@
 #!/usr/bin/env bash
-# Tier-1 verification: build, vet, and the full test suite under the race
-# detector. The parallel hot paths (dominance-graph LPs, loss evaluation,
+# Tier-1 verification: formatting, build, vet, and the full test suite
+# under the race detector. The parallel hot paths (dominance-graph LPs, loss evaluation,
 # SCMC's set system, the concurrent auto mode) must stay race-clean.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "== gofmt -l ."
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+    echo "gofmt: these files need formatting:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 echo "== go build ./..."
 go build ./...
@@ -105,12 +113,16 @@ GOMAXPROCS=4 go test -race -count=1 \
 # prefiltered work instance must reproduce the cold/unfiltered results
 # bit for bit across worker counts, and the warm-started Clarkson hull
 # pass must match the 3D hull, a brute-force LP per point, and its own
-# cold-solve run bit for bit — then the allocation-regression
-# gates, run plain because race instrumentation inflates alloc counts
-# (the gate files are excluded via //go:build !race).
-echo "== raw speed (warm-start determinism, prefilter exactness, hull differentials, alloc gates)"
+# cold-solve run bit for bit; the flat extreme-point kernel must match
+# geom.Dot/MaxDot bit for bit, the early-exit sampled screen must match
+# the full sampled maximum's decision, and SCMC/DSMC/auto selections
+# must match the golden file recorded at the pre-kernel commit — then
+# the allocation-regression gates, run plain because race
+# instrumentation inflates alloc counts (the gate files are excluded
+# via //go:build !race).
+echo "== raw speed (warm-start determinism, prefilter exactness, hull and kernel differentials, alloc gates)"
 GOMAXPROCS=4 go test -race -count=1 \
-    -run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestPrefilter|TestClarksonMatchesHull3D|TestClarksonMatchesBruteForce|TestClarksonColdMatchesWarmBitwise' . ./internal/core/ ./internal/lp/ ./internal/hull/
-go test -count=1 -run 'TestSolverAllocsSteadyState|TestEdgeLPAllocs|TestClarksonAllocs' ./internal/lp/ ./internal/core/ ./internal/hull/
+    -run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestPrefilter|TestClarksonMatchesHull3D|TestClarksonMatchesBruteForce|TestClarksonColdMatchesWarmBitwise|TestRowsMatchGeomDot|TestSampledScreenMatchesMaxLoss|TestSelectionMatchesParentGolden' . ./internal/core/ ./internal/lp/ ./internal/hull/ ./internal/geom/
+go test -count=1 -run 'TestSolverAllocsSteadyState|TestEdgeLPAllocs|TestClarksonAllocs|TestOmegaAllocs' ./internal/lp/ ./internal/core/ ./internal/hull/
 
 echo "verify: OK"
