@@ -114,13 +114,12 @@ bench-cache:
 	./scripts/bench_cache.sh
 
 # Regenerate the raw-speed snapshot (BENCH_speed.json): cold DG build
-# baseline vs pooled+warm-started (>= 5x speedup and >= 5x fewer allocs
-# required), cold certified auto build with the prefilter on vs off, and
-# the prefilter shrink ratio n/ξ.
+# baseline vs pooled with and without warm starts (>= 5x speedup and
+# >= 5x fewer allocs required).
 bench-speed:
 	./scripts/bench_speed.sh
 
-# Raw-speed correctness: the warm-start/prefilter determinism matrix,
+# Raw-speed correctness: the warm-start determinism matrix,
 # the Clarkson hull differential tests, the flat-kernel and sampled-
 # screen differentials and the golden selection check under the race
 # detector, then the allocation-regression gates (plain — race
@@ -128,5 +127,5 @@ bench-speed:
 # with //go:build !race).
 speed:
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
-		-run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestPrefilter|TestClarksonMatchesHull3D|TestClarksonMatchesBruteForce|TestClarksonColdMatchesWarmBitwise|TestRowsMatchGeomDot|TestSampledScreenMatchesMaxLoss|TestSelectionMatchesParentGolden' . ./internal/core/ ./internal/lp/ ./internal/hull/ ./internal/geom/
+		-run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestClarksonMatchesHull3D|TestClarksonMatchesBruteForce|TestClarksonColdMatchesWarmBitwise|TestRowsMatchGeomDot|TestSampledScreenMatchesMaxLoss|TestSelectionMatchesParentGolden' ./internal/core/ ./internal/lp/ ./internal/hull/ ./internal/geom/
 	$(GO) test -count=1 -run 'TestSolverAllocsSteadyState|TestEdgeLPAllocs|TestClarksonAllocs|TestOmegaAllocs' ./internal/lp/ ./internal/core/ ./internal/hull/

@@ -57,16 +57,10 @@ func quantizeEps(eps float64) int64 {
 	return int64(math.Round(eps / epsQuantum))
 }
 
-// buildKey identifies one memoizable Coreseter build. pf records whether
-// the extreme-point prefilter was active for the build: results are
-// identical either way (the prefilter is exact), but the key keeps the
-// two configurations isolated so a cached prefiltered build can never be
-// served to a caller that asked for the unfiltered path — the regimes
-// must stay distinguishable for equivalence testing.
+// buildKey identifies one memoizable Coreseter build.
 type buildKey struct {
 	algo Algorithm
 	qeps int64
-	pf   bool
 }
 
 // cacheMetrics are the hit/miss/eviction counters of one cache layer.
@@ -299,9 +293,8 @@ func cacheCapacity(configured, def int) int {
 func (c *Coreseter) cachedDualSeed(algo Algorithm, r int) (lo, hi float64, seed *Coreset) {
 	lo, hi = 0, 1
 	var seedSrc *Coreset
-	pf := c.prefiltered()
 	c.cache.forEach(func(k buildKey, q *Coreset) {
-		if k.algo != algo || k.pf != pf {
+		if k.algo != algo {
 			return
 		}
 		eps := float64(k.qeps) * epsQuantum

@@ -92,7 +92,6 @@ func TestQuarantineLifecycleHTTP(t *testing.T) {
 
 	// The recovered tenant serves: ingest, build, and readiness is ok.
 	feedPoints(t, ts, "/v1/tenants/sick/ingest", ringPoints(64, 3))
-	drainHTTP(t, ts, "sick", 64)
 	resp, body = doJSON(t, ts, "GET", "/v1/tenants/sick/coreset?eps=0.3", nil)
 	if resp.StatusCode != http.StatusOK || body["stale"] != nil {
 		t.Fatalf("recovered coreset = %d (stale=%v), want fresh 200", resp.StatusCode, body["stale"])
@@ -123,7 +122,6 @@ func TestStaleServingHTTP(t *testing.T) {
 		StaleServe: mincore.WithStaleServe(time.Hour, 0),
 	})
 	feedPoints(t, ts, "/v1/tenants/default/ingest", ringPoints(200, 5))
-	drainHTTP(t, ts, "default", 200)
 
 	// Fresh certified build: retained as the (ε, algo) fallback.
 	resp, body := doJSON(t, ts, "GET", "/v1/tenants/default/coreset?eps=0.2", nil)
@@ -134,7 +132,6 @@ func TestStaleServingHTTP(t *testing.T) {
 	// Advance the stream, then request with an already-expired deadline:
 	// the fresh build cannot run, the fallback serves.
 	feedPoints(t, ts, "/v1/tenants/default/ingest", ringPoints(50, 9))
-	drainHTTP(t, ts, "default", 250)
 	resp, body = doJSON(t, ts, "GET", "/v1/tenants/default/coreset?eps=0.2&timeout=1ns", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stale-eligible request = %d %v, want 200", resp.StatusCode, body)

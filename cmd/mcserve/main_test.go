@@ -43,8 +43,20 @@ func newTestServer(t *testing.T, opts mincore.RegistryOptions) (*httptest.Server
 	return ts, reg
 }
 
+// feedPoints POSTs pts to an ingest path and waits until the tenant has
+// applied them: the 202 ack only means the batch was queued, so a query
+// sent right after it could otherwise see the stream without them.
 func feedPoints(t *testing.T, ts *httptest.Server, path string, pts [][]float64) {
 	t.Helper()
+	tenant := defaultTenant
+	if id, ok := strings.CutPrefix(path, "/v1/tenants/"); ok {
+		tenant = strings.TrimSuffix(id, "/ingest")
+	}
+	_, st := doJSON(t, ts, "GET", "/v1/tenants/"+tenant+"/stats", nil)
+	before, ok := st["ingested"].(float64)
+	if !ok {
+		t.Fatalf("tenant %s stats carry no ingested count: %v", tenant, st)
+	}
 	body, _ := json.Marshal(map[string]any{"points": pts})
 	resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -54,6 +66,7 @@ func feedPoints(t *testing.T, ts *httptest.Server, path string, pts [][]float64)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST %s: status %d", path, resp.StatusCode)
 	}
+	drainHTTP(t, ts, tenant, before+float64(len(pts)))
 }
 
 func TestServeMetricsEndpoint(t *testing.T) {

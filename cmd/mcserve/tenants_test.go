@@ -206,7 +206,6 @@ func TestLegacyRoutesAliasDefaultTenant(t *testing.T) {
 	ts, _ := newTestServer(t, mincore.RegistryOptions{Dim: 2, Eps: 0.05, Seed: 5})
 
 	feedPoints(t, ts, "/ingest", ringPoints(40, 2)) // legacy ingest path
-	drainHTTP(t, ts, defaultTenant, 40)
 
 	resp, err := http.Get(ts.URL + "/stats")
 	if err != nil {

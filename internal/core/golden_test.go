@@ -63,10 +63,9 @@ func goldenCases() []goldenCase {
 	return cs
 }
 
-// goldenInstances prepares pts the way mincore.New does with default
-// options and the given seed (dedup, fatten, 1e-9 perturbation, hull)
-// and derives the prefiltered work instance.
-func goldenInstances(t *testing.T, pts []geom.Vector, seed int64) (full, work *Instance) {
+// goldenInstance prepares pts the way mincore.New does with default
+// options and the given seed (dedup, fatten, 1e-9 perturbation, hull).
+func goldenInstance(t *testing.T, pts []geom.Vector, seed int64) *Instance {
 	t.Helper()
 	pts = geom.Dedup(pts)
 	_, pts, err := transform.Fatten(pts)
@@ -74,50 +73,39 @@ func goldenInstances(t *testing.T, pts []geom.Vector, seed int64) (full, work *I
 		t.Fatal(err)
 	}
 	pts = geom.Perturb(pts, 1e-9, seed+1)
-	full, err = NewInstance(pts)
+	inst, err := NewInstance(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	work, err = NewInstanceFromExtremes(full.ExtPts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return full, work
+	return inst
 }
 
 // goldenSelect runs the selection stack the way the auto build does:
-// SCMC and the refined DSMC on the work instance (remapped to full
-// indices), and the smaller of the two as the auto pick.
+// SCMC and the refined DSMC on the full instance, and the smaller of the
+// two as the auto pick.
 func goldenSelect(t *testing.T, c goldenCase, workers int) goldenInput {
 	t.Helper()
 	ctx := context.Background()
-	full, work := goldenInstances(t, c.pts, c.seed)
-	full.Workers, work.Workers = workers, workers
+	inst := goldenInstance(t, c.pts, c.seed)
+	inst.Workers = workers
 	in := goldenInput{Name: c.name}
-	for _, u := range sphere.RandomDirections(256, full.D, 4242) {
-		in.OmegaBits = append(in.OmegaBits, math.Float64bits(full.Omega(u)))
+	for _, u := range sphere.RandomDirections(256, inst.D, 4242) {
+		in.OmegaBits = append(in.OmegaBits, math.Float64bits(inst.Omega(u)))
 	}
-	remap := func(idx []int) []int {
-		out := make([]int, len(idx))
-		for i, v := range idx {
-			out[i] = full.X[v]
-		}
-		return out
-	}
-	dg, err := work.BuildDominanceGraphCtx(ctx, work.BuildIPDG(0, c.seed+13))
+	dg, err := inst.BuildDominanceGraphCtx(ctx, inst.BuildIPDG(0, c.seed+13))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, eps := range c.eps {
-		qs, _, err := work.SCMCCtx(ctx, eps, SCMCOptions{Seed: c.seed})
+		qs, _, err := inst.SCMCCtx(ctx, eps, SCMCOptions{Seed: c.seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		qd, err := work.DSMCRefinedCtx(ctx, dg, eps, 8)
+		qd, err := inst.DSMCRefinedCtx(ctx, dg, eps, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel := goldenSelection{Eps: eps, SCMC: remap(qs), DSMCRefined: remap(qd)}
+		sel := goldenSelection{Eps: eps, SCMC: qs, DSMCRefined: qd}
 		sel.Auto = sel.SCMC
 		if len(qd) <= len(qs) {
 			sel.Auto = sel.DSMCRefined
@@ -128,9 +116,11 @@ func goldenSelect(t *testing.T, c goldenCase, workers int) goldenInput {
 }
 
 // Selections and directional maxima must match, bit for bit and at
-// every worker count, what the code at the recorded commit produced:
-// the flat extreme-point kernel and the early-exit sampled screens are
-// pure speedups.
+// every worker count, what the code at the recorded commit produced.
+// That commit selected on a separate instance built from the extreme
+// points alone and mapped indices back; selecting on the full instance
+// must give the same indices, since DSMC and SCMC only ever read the
+// extreme points.
 func TestSelectionMatchesParentGolden(t *testing.T) {
 	if commit := os.Getenv(goldenEnv); commit != "" {
 		g := goldenFile{Commit: commit}

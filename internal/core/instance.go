@@ -120,11 +120,10 @@ func NewInstance(pts []geom.Vector) (*Instance, error) {
 // already known to consist solely of extreme points in canonical order —
 // the ExtPts of a previously built instance (CCW-sorted for d=2). It
 // skips hull enumeration entirely: X is the identity and the point set
-// is its own extreme-point block. This is the extreme-point prefilter's
-// work instance: every derived structure (ExtPts order, fatness, boundary
-// vectors) is bitwise identical to the parent's, so algorithms running
-// on it produce the same selections as on the parent, just over ξ
-// points instead of n.
+// is its own extreme-point block, and every derived structure (ExtPts
+// order, fatness, boundary vectors) is bitwise identical to the
+// parent's. The library no longer uses it; it is kept for perfbench's
+// traced replay.
 func NewInstanceFromExtremes(extPts []geom.Vector) (*Instance, error) {
 	if len(extPts) == 0 {
 		return nil, fmt.Errorf("core: empty point set")

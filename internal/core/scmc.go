@@ -147,8 +147,8 @@ func (inst *Instance) scmcSolve(dirs []geom.Vector, gamma float64) ([]int, error
 // revalidates each stage with the exact loss — the restriction never
 // costs correctness. It also keys the whole computation (threshold
 // hits, owner ordering, greedy tie-breaks) to the extreme-point
-// indexing, which is what makes the extreme-point prefilter's work
-// instance produce exactly the same cover as the full instance.
+// indexing, so the cover depends on ExtPts alone, not on the interior
+// points.
 func (inst *Instance) scmcSolveCtx(ctx context.Context, dirs []geom.Vector, gamma float64) ([]int, error) {
 	hits, skip, err := inst.scmcHits(ctx, dirs, gamma)
 	if err != nil {

@@ -141,7 +141,7 @@ func TestDGOnWorkInstanceMatchesParent(t *testing.T) {
 }
 
 // SCMC restricted to extreme candidates: the cover it returns on the
-// work instance, remapped through the parent's X, must equal the cover
+// work instance, mapped through the parent's X, must equal the cover
 // computed on the parent directly — index for index.
 func TestSCMCWorkInstanceMatchesParent(t *testing.T) {
 	for _, d := range []int{3, 4} {

@@ -109,22 +109,12 @@ type Options struct {
 	// measured loss exceeds ε.
 	SkipCertify bool
 	// BuildCache bounds the memoized build cache: successful results are
-	// kept in an LRU keyed by (algorithm, quantized ε, prefilter flag) and
-	// concurrent identical builds are deduplicated by per-key singleflight.
-	// 0 selects the default capacity (64 entries); negative disables
-	// caching. Cached results are bitwise identical to fresh ones and
-	// carry Report.CacheHit = true.
+	// kept in an LRU keyed by (algorithm, quantized ε) and concurrent
+	// identical builds are deduplicated by per-key singleflight. 0 selects
+	// the default capacity (64 entries); negative disables caching.
+	// Cached results are bitwise identical to fresh ones and carry
+	// Report.CacheHit = true.
 	BuildCache int
-	// DisablePrefilter turns off the extreme-point prefilter: DSMC and
-	// SCMC then run against the full instance instead of the ξ-point work
-	// instance. Results are identical either way (the prefilter is exact,
-	// not approximate — see DESIGN.md §15); the switch exists for
-	// benchmarks and equivalence tests.
-	DisablePrefilter bool
-	// DisableLPWarmStart forces every dominance-graph edge LP to solve
-	// cold instead of warm-starting from the previous pair's optimal
-	// basis. Results are bitwise identical either way.
-	DisableLPWarmStart bool
 }
 
 // Coreseter is a preprocessed dataset ready to produce coresets at any ε.
@@ -138,17 +128,8 @@ type Coreseter struct {
 	aff  *transform.Affine // nil when SkipNormalize
 	opts Options
 
-	// work is the instance the extreme-point-restricted algorithms (DSMC,
-	// SCMC) run against: a ξ-point instance built from inst's hull
-	// vertices when the prefilter is active, inst itself otherwise. remap
-	// translates work-instance indices back to inst indices (nil when
-	// work == inst). Certification always measures on inst, so results
-	// are identical with the prefilter on or off.
-	work  *core.Instance
-	remap []int
-
 	dgMu sync.Mutex
-	dg   *core.DominanceGraph // lazily built for DSMC (on the work instance)
+	dg   *core.DominanceGraph // lazily built for DSMC
 
 	// cache memoizes successful builds per (algorithm, quantized ε) with
 	// singleflight dedup; nil when disabled via WithBuildCache.
@@ -275,35 +256,9 @@ func New(points []Point, opts ...Option) (*Coreseter, error) {
 		return nil, fmt.Errorf("mincore: %w", err)
 	}
 	inst.Workers = o.Workers
-	inst.DisableLPWarmStart = o.DisableLPWarmStart
 	c.inst = inst
-	c.work, c.remap = deriveWorkInstance(inst, o)
 	return c, nil
 }
-
-// deriveWorkInstance builds the prefiltered ξ-point instance DSMC and
-// SCMC run against, with the index remap back into inst's point order.
-// The prefilter is exact — only hull vertices can realize a directional
-// maximum, so restricting the candidate pool loses nothing (DESIGN.md
-// §15) — and it is skipped when it would not shrink the instance or
-// when disabled. Any construction failure falls back to the full
-// instance: the prefilter is an optimization, never a correctness gate.
-func deriveWorkInstance(inst *core.Instance, o Options) (*core.Instance, []int) {
-	if o.DisablePrefilter || inst.Xi() >= inst.N() {
-		return inst, nil
-	}
-	work, err := core.NewInstanceFromExtremes(inst.ExtPts)
-	if err != nil {
-		return inst, nil
-	}
-	work.Workers = o.Workers
-	work.DisableLPWarmStart = o.DisableLPWarmStart
-	return work, inst.X
-}
-
-// prefiltered reports whether the extreme-point prefilter is active: the
-// work instance is a strict restriction of the full one.
-func (c *Coreseter) prefiltered() bool { return c.work != c.inst }
 
 // N returns the number of (deduplicated) points.
 func (c *Coreseter) N() int { return c.inst.N() }
@@ -432,7 +387,7 @@ func (c *Coreseter) CoresetCtx(ctx context.Context, eps float64, algo Algorithm)
 		return nil, err
 	}
 	if c.cache != nil && eps > 0 && eps < 1 {
-		q, _, err := c.cache.do(ctx, buildKey{algo: algo, qeps: quantizeEps(eps), pf: c.prefiltered()},
+		q, _, err := c.cache.do(ctx, buildKey{algo: algo, qeps: quantizeEps(eps)},
 			func(ctx context.Context) (*Coreset, error) {
 				return c.buildOnce(ctx, eps, algo, "miss")
 			})
@@ -457,7 +412,7 @@ func (c *Coreseter) buildOnce(ctx context.Context, eps float64, algo Algorithm, 
 	}
 	sp := tr.Root.StartChild(fmt.Sprintf("attempt(%s)#1", algo))
 	bsp := sp.StartChild("build-indices")
-	idx, err := c.buildIndices(ctx, c.env(), eps, algo, bsp)
+	idx, err := c.buildIndices(ctx, c.inst, eps, algo, bsp)
 	if err != nil {
 		bsp.SetAttr("error", err.Error())
 	}
@@ -481,7 +436,7 @@ func (c *Coreseter) buildOnce(ctx context.Context, eps float64, algo Algorithm, 
 	q.Report = &BuildReport{
 		Requested: algo, Algorithm: algo, Eps: eps,
 		CertifiedLoss: q.Loss, Certified: q.Loss <= eps+certTol,
-		Attempts: 1, Prefiltered: c.prefiltered(), Trace: tr,
+		Attempts: 1, Trace: tr,
 	}
 	return q, nil
 }
@@ -593,8 +548,7 @@ func (c *Coreseter) FixedSizeCtx(ctx context.Context, r int, algo Algorithm) (*C
 	rep := &BuildReport{
 		Requested: algo, Algorithm: algo, Eps: eps,
 		CertifiedLoss: q.Loss, Certified: q.Loss <= eps+certTol,
-		Attempts: attempts, Prefiltered: c.prefiltered(),
-		Wall: time.Since(start), Trace: tr,
+		Attempts: attempts, Wall: time.Since(start), Trace: tr,
 	}
 	q.Report = rep
 	if !rep.Certified && !c.opts.SkipCertify {
@@ -675,17 +629,16 @@ func (c *Coreseter) LossProfile(indices []int, k int) []float64 {
 // dominanceGraphCtx lazily builds the IPDG and dominance graph
 // (Algorithm 2) under the mutex, memoizing only successful builds: a
 // build aborted by ctx cancellation leaves the cache empty so the next
-// caller retries with its own context. The graph is built on the work
-// instance — the IPDG and every edge LP only ever touch extreme points,
-// so the graph is bitwise identical to one built on the full instance.
+// caller retries with its own context. The IPDG and every edge LP only
+// ever touch the extreme points.
 func (c *Coreseter) dominanceGraphCtx(ctx context.Context) (*core.DominanceGraph, error) {
 	c.dgMu.Lock()
 	defer c.dgMu.Unlock()
 	if c.dg != nil {
 		return c.dg, nil
 	}
-	ipdg := c.work.BuildIPDG(c.opts.IPDGSamples, c.opts.Seed+13)
-	dg, err := c.work.BuildDominanceGraphCtx(ctx, ipdg)
+	ipdg := c.inst.BuildIPDG(c.opts.IPDGSamples, c.opts.Seed+13)
+	dg, err := c.inst.BuildDominanceGraphCtx(ctx, ipdg)
 	if err != nil {
 		return nil, err
 	}

@@ -74,24 +74,6 @@ func WithCertification(enabled bool) Option {
 	return optionFunc(func(o *Options) { o.SkipCertify = !enabled })
 }
 
-// WithPrefilter toggles the extreme-point prefilter (on by default):
-// DSMC and SCMC run against a ξ-point work instance holding only the
-// convex-hull vertices, since only those can realize a directional
-// maximum. The prefilter is exact — indices and measured loss are
-// identical with it on or off — so disabling it is only useful for
-// benchmarks and equivalence tests.
-func WithPrefilter(enabled bool) Option {
-	return optionFunc(func(o *Options) { o.DisablePrefilter = !enabled })
-}
-
-// WithLPWarmStart toggles warm-starting of the dominance-graph edge LPs
-// from the previous pair's optimal basis (on by default). Results are
-// bitwise identical either way; disabling is only useful for benchmarks
-// and determinism tests.
-func WithLPWarmStart(enabled bool) Option {
-	return optionFunc(func(o *Options) { o.DisableLPWarmStart = !enabled })
-}
-
 // WithBuildCache bounds the memoized build cache: successful results are
 // kept in an LRU keyed by (algorithm, quantized ε), and concurrent
 // identical builds are deduplicated through per-key singleflight.

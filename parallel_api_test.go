@@ -30,6 +30,33 @@ func gaussianPoints(n, d int, seed int64) []mincore.Point {
 	return pts
 }
 
+// messyPoints builds a seeded random cloud salted with exact duplicates
+// and collinear (segment-midpoint) points, which are never hull vertices.
+func messyPoints(n, d int, seed int64) []mincore.Point {
+	rng := rand.New(rand.NewSource(seed))
+	pts := make([]mincore.Point, 0, n+n/2)
+	for i := 0; i < n; i++ {
+		p := make(mincore.Point, d)
+		for j := range p {
+			p[j] = rng.NormFloat64()*2 + 3
+		}
+		pts = append(pts, p)
+	}
+	for i := 0; i < n/4; i++ {
+		src := pts[rng.Intn(n)]
+		pts = append(pts, append(mincore.Point(nil), src...))
+	}
+	for i := 0; i < n/4; i++ {
+		a, b := pts[rng.Intn(n)], pts[rng.Intn(n)]
+		m := make(mincore.Point, d)
+		for j := range m {
+			m[j] = (a[j] + b[j]) / 2
+		}
+		pts = append(pts, m)
+	}
+	return pts
+}
+
 func sameCoreset(t *testing.T, label string, a, b *mincore.Coreset) {
 	t.Helper()
 	if len(a.Indices) != len(b.Indices) {
@@ -50,14 +77,16 @@ func sameCoreset(t *testing.T, label string, a, b *mincore.Coreset) {
 // for Workers=1 and Workers=8 on every algorithm and dimension.
 func TestWorkerCountDeterminism(t *testing.T) {
 	cases := []struct {
-		n, d int
+		d   int
+		pts []mincore.Point
 	}{
-		{1500, 2},
-		{1200, 3},
-		{900, 4},
+		{2, gaussianPoints(1500, 2, 11)},
+		{3, gaussianPoints(1200, 3, 11)},
+		{4, gaussianPoints(900, 4, 11)},
+		{3, messyPoints(250, 3, 55)},
 	}
 	for _, tc := range cases {
-		pts := gaussianPoints(tc.n, tc.d, 11)
+		pts := tc.pts
 		cs1, err := mincore.New(pts, mincore.WithSeed(7), mincore.WithWorkers(1))
 		if err != nil {
 			t.Fatal(err)

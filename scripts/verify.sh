@@ -19,6 +19,11 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+# perfbench is its own module (replace mincore => ../) and imports
+# internal packages, so the root vet does not cover it.
+echo "== go -C perfbench vet ./..."
+go -C perfbench vet ./...
+
 echo "== go test -race ./..."
 go test -race ./...
 
@@ -108,21 +113,20 @@ GOMAXPROCS=4 go test -race -count=1 \
 GOMAXPROCS=4 go test -race -count=1 \
     -run 'TestTraceStore|TestRequestTrace|TestFlightRecorder|TestFlightBundle|TestHistogramExemplar|TestRegisterRuntimeGauges' ./internal/obs/
 
-# Raw speed: the warm-start/prefilter determinism contract under the
-# race detector — the pooled, warm-started dominance-graph build and the
-# prefiltered work instance must reproduce the cold/unfiltered results
-# bit for bit across worker counts, and the warm-started Clarkson hull
-# pass must match the 3D hull, a brute-force LP per point, and its own
-# cold-solve run bit for bit; the flat extreme-point kernel must match
-# geom.Dot/MaxDot bit for bit, the early-exit sampled screen must match
-# the full sampled maximum's decision, and SCMC/DSMC/auto selections
-# must match the golden file recorded at the pre-kernel commit — then
-# the allocation-regression gates, run plain because race
+# Raw speed: the warm-start determinism contract under the race
+# detector — the pooled dominance-graph build, warm-started or cold,
+# must reproduce the baseline bit for bit across worker counts, and the
+# warm-started Clarkson hull pass must match the 3D hull, a brute-force
+# LP per point, and its own cold-solve run bit for bit; the flat
+# extreme-point kernel must match geom.Dot/MaxDot bit for bit, the
+# early-exit sampled screen must match the full sampled maximum's
+# decision, and SCMC/DSMC/auto selections must match the golden file —
+# then the allocation-regression gates, run plain because race
 # instrumentation inflates alloc counts (the gate files are excluded
 # via //go:build !race).
-echo "== raw speed (warm-start determinism, prefilter exactness, hull and kernel differentials, alloc gates)"
+echo "== raw speed (warm-start determinism, golden selections, hull and kernel differentials, alloc gates)"
 GOMAXPROCS=4 go test -race -count=1 \
-    -run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestPrefilter|TestClarksonMatchesHull3D|TestClarksonMatchesBruteForce|TestClarksonColdMatchesWarmBitwise|TestRowsMatchGeomDot|TestSampledScreenMatchesMaxLoss|TestSelectionMatchesParentGolden' . ./internal/core/ ./internal/lp/ ./internal/hull/ ./internal/geom/
+    -run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestClarksonMatchesHull3D|TestClarksonMatchesBruteForce|TestClarksonColdMatchesWarmBitwise|TestRowsMatchGeomDot|TestSampledScreenMatchesMaxLoss|TestSelectionMatchesParentGolden' ./internal/core/ ./internal/lp/ ./internal/hull/ ./internal/geom/
 go test -count=1 -run 'TestSolverAllocsSteadyState|TestEdgeLPAllocs|TestClarksonAllocs|TestOmegaAllocs' ./internal/lp/ ./internal/core/ ./internal/hull/
 
 echo "verify: OK"

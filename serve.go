@@ -229,12 +229,6 @@ type ServeOptions struct {
 	// BuildWorkers is the Options.Workers value for served builds
 	// (0 = GOMAXPROCS).
 	BuildWorkers int
-	// DisablePrefilter turns off the extreme-point prefilter for served
-	// builds (see Options.DisablePrefilter): results are identical either
-	// way; the switch exists for benchmarks and equivalence tests. The
-	// serve cache keys on it, so flipping the option can never serve a
-	// result built under the other regime.
-	DisablePrefilter bool
 	// BuildCache bounds the cache of served coresets, keyed by (stream
 	// position, quantized ε, algorithm) — advancing the stream changes
 	// the position, so ingest invalidates every cached result
@@ -1189,15 +1183,12 @@ const defaultServeCacheSize = 32
 const degradedCheckpointFailures = 3
 
 // serveKey identifies one served build: the stream position the request
-// saw (ingest advances it, invalidating older entries), the quantized ε,
-// the algorithm, and the prefilter regime (constant per service today,
-// but keyed so a prefiltered build can never answer an unfiltered
-// request).
+// saw (ingest advances it, invalidating older entries), the quantized ε
+// and the algorithm.
 type serveKey struct {
 	streamN int
 	qeps    int64
 	algo    Algorithm
-	pf      bool
 }
 
 // Coreset builds a certified ε-coreset of the stream seen so far, under
@@ -1245,7 +1236,7 @@ func (s *IngestService) coresetFresh(ctx context.Context, eps float64, algo Algo
 	if s.served == nil {
 		return s.buildServed(ctx, eps, algo)
 	}
-	key := serveKey{streamN: s.StreamN(), qeps: quantizeEps(eps), algo: algo, pf: !s.opts.DisablePrefilter}
+	key := serveKey{streamN: s.StreamN(), qeps: quantizeEps(eps), algo: algo}
 	q, hit, err := s.served.do(ctx, key, func(ctx context.Context) (*Coreset, error) {
 		return s.buildServed(ctx, eps, algo)
 	})
@@ -1422,8 +1413,7 @@ func (s *IngestService) buildServed(ctx context.Context, eps float64, algo Algor
 	// The Coreseter is single-use (the champion set changes with the
 	// stream), so its own build cache would never hit; the serve-layer
 	// cache above is the one that carries reuse.
-	cs, err := New(pts, WithSeed(s.opts.Seed), WithWorkers(s.opts.BuildWorkers), WithBuildCache(0),
-		WithPrefilter(!s.opts.DisablePrefilter))
+	cs, err := New(pts, WithSeed(s.opts.Seed), WithWorkers(s.opts.BuildWorkers), WithBuildCache(0))
 	if err != nil {
 		return nil, err
 	}
