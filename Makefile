@@ -120,12 +120,13 @@ bench-speed:
 	./scripts/bench_speed.sh
 
 # Raw-speed correctness: the warm-start determinism matrix,
-# the Clarkson hull differential tests, the flat-kernel and sampled-
-# screen differentials and the golden selection check under the race
-# detector, then the allocation-regression gates (plain — race
+# the Clarkson hull differential tests, the flat-kernel (one direction
+# and direction-blocked) and sampled-screen differentials, the golden
+# selection and golden New checks and the capped point views under the
+# race detector, then the allocation-regression gates (plain — race
 # instrumentation inflates alloc counts, and the gate files are built
 # with //go:build !race).
 speed:
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
-		-run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestClarksonMatchesHull3D|TestClarksonMatchesBruteForce|TestClarksonColdMatchesWarmBitwise|TestRowsMatchGeomDot|TestSampledScreenMatchesMaxLoss|TestSelectionMatchesParentGolden' ./internal/core/ ./internal/lp/ ./internal/hull/ ./internal/geom/
-	$(GO) test -count=1 -run 'TestSolverAllocsSteadyState|TestEdgeLPAllocs|TestClarksonAllocs|TestOmegaAllocs' ./internal/lp/ ./internal/core/ ./internal/hull/
+		-run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestClarksonMatchesHull3D|TestClarksonMatchesBruteForce|TestClarksonColdMatchesWarmBitwise|TestRowsMatchGeomDot|TestSampledScreenMatchesMaxLoss|TestSelectionMatchesParentGolden|TestRowsMaxDotsMatchMaxDot|TestNewMatchesParentGolden|TestPointViewsAreCapped' . ./internal/core/ ./internal/lp/ ./internal/hull/ ./internal/geom/
+	$(GO) test -count=1 -run 'TestSolverAllocsSteadyState|TestEdgeLPAllocs|TestClarksonAllocs|TestOmegaAllocs|TestNewAllocs' . ./internal/lp/ ./internal/core/ ./internal/hull/

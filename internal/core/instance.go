@@ -102,7 +102,7 @@ func NewInstance(pts []geom.Vector) (*Instance, error) {
 		inst.ExtPts[i] = pts[id]
 	}
 	inst.ext = geom.NewRows(inst.ExtPts)
-	inst.Alpha = transform.EmpiricalFatness(inst.ExtPts, 1024, 1)
+	inst.Alpha = transform.EmpiricalFatness(inst.ext, 1024, 1)
 	if inst.Alpha <= 0 {
 		return nil, fmt.Errorf("core: point set is not fat (α=%g ≤ 0); apply transform.Fatten first", inst.Alpha)
 	}
@@ -136,7 +136,7 @@ func NewInstanceFromExtremes(extPts []geom.Vector) (*Instance, error) {
 	}
 	inst.ExtPts = extPts
 	inst.ext = geom.NewRows(extPts)
-	inst.Alpha = transform.EmpiricalFatness(inst.ExtPts, 1024, 1)
+	inst.Alpha = transform.EmpiricalFatness(inst.ext, 1024, 1)
 	if inst.Alpha <= 0 {
 		return nil, fmt.Errorf("core: point set is not fat (α=%g ≤ 0); apply transform.Fatten first", inst.Alpha)
 	}

@@ -149,3 +149,48 @@ func TestPerturbDedup(t *testing.T) {
 		}
 	}
 }
+
+// Dedup keeps the first occurrence of every distinct bit pattern, in
+// input order: -0 and 0 are distinct, and the kept vectors are the
+// input's own.
+func TestDedupBitsAndOrder(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	pts := []Vector{{0, 1}, {negZero, 1}, {0, 1}, {2, 3}, {negZero, 1}, {2, 3, 0}, {2, 3}}
+	got := Dedup(pts)
+	want := []int{0, 1, 3, 5}
+	if len(got) != len(want) {
+		t.Fatalf("Dedup kept %d points, want %d", len(got), len(want))
+	}
+	for k, i := range want {
+		if &got[k][0] != &pts[i][0] {
+			t.Fatalf("Dedup position %d is not input point %d", k, i)
+		}
+	}
+	// Many repeats of a small pool: the result is the pool in
+	// first-occurrence order.
+	rng := rand.New(rand.NewSource(3))
+	pool := make([]Vector, 50)
+	for i := range pool {
+		pool[i] = Vector{float64(rng.Intn(4)), float64(rng.Intn(4)), float64(rng.Intn(4))}
+	}
+	var many []Vector
+	var first []Vector
+	seen := map[[3]float64]bool{}
+	for r := 0; r < 2000; r++ {
+		p := pool[rng.Intn(len(pool))]
+		many = append(many, p)
+		if k := [3]float64{p[0], p[1], p[2]}; !seen[k] {
+			seen[k] = true
+			first = append(first, p)
+		}
+	}
+	got = Dedup(many)
+	if len(got) != len(first) {
+		t.Fatalf("Dedup kept %d points, want %d", len(got), len(first))
+	}
+	for i := range got {
+		if !Equal(got[i], first[i]) {
+			t.Fatalf("Dedup position %d: %v, want %v", i, got[i], first[i])
+		}
+	}
+}

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -12,15 +13,22 @@ import (
 
 // Perturb returns a copy of pts where each coordinate is jittered by a
 // uniform offset in [−scale, scale], using the given seed. The input is
-// not modified. scale should be far below the data resolution; callers
-// typically pass scale ≈ 1e-9 for data normalized to [−1,1]^d.
+// not modified; the copies share one backing array, each capped at its
+// own coordinates. scale should be far below the data resolution;
+// callers typically pass scale ≈ 1e-9 for data normalized to [−1,1]^d.
 func Perturb(pts []Vector, scale float64, seed int64) []Vector {
 	rng := rand.New(rand.NewSource(seed))
+	total := 0
+	for _, p := range pts {
+		total += len(p)
+	}
+	flat := make([]float64, total)
 	out := make([]Vector, len(pts))
 	for i, p := range pts {
-		q := p.Clone()
-		for j := range q {
-			q[j] += scale * (2*rng.Float64() - 1)
+		q := flat[:len(p):len(p)]
+		flat = flat[len(p):]
+		for j, c := range p {
+			q[j] = c + scale*(2*rng.Float64()-1)
 		}
 		out[i] = q
 	}
@@ -30,30 +38,58 @@ func Perturb(pts []Vector, scale float64, seed int64) []Vector {
 // Dedup returns pts with exact duplicates removed, preserving first
 // occurrence order. Duplicate points never change maxima and inflate n for
 // no benefit; all dataset loaders dedup before running algorithms.
+//
+// Points are equal when their coordinates have the same bit patterns
+// (math.Float64bits), so -0 and 0 are distinct. The kept points are the
+// input's own vectors, not copies. Lookup is an open-addressing table of
+// indices into the output, keyed by a hash of the bits and confirmed by
+// an exact bit comparison.
 func Dedup(pts []Vector) []Vector {
-	seen := make(map[string]struct{}, len(pts))
 	out := make([]Vector, 0, len(pts))
-	buf := make([]byte, 0, 64)
+	size := 1
+	for size < 2*len(pts) {
+		size <<= 1
+	}
+	table := make([]int, size) // 1 + index into out; 0 marks an empty slot
+	mask := uint64(size - 1)
 	for _, p := range pts {
-		buf = buf[:0]
-		for _, c := range p {
-			buf = appendFloatKey(buf, c)
+		for slot := bitsHash(p) & mask; ; slot = (slot + 1) & mask {
+			e := table[slot]
+			if e == 0 {
+				out = append(out, p)
+				table[slot] = len(out)
+				break
+			}
+			if sameBits(out[e-1], p) {
+				break
+			}
 		}
-		k := string(buf)
-		if _, ok := seen[k]; ok {
-			continue
-		}
-		seen[k] = struct{}{}
-		out = append(out, p)
 	}
 	return out
 }
 
-func appendFloatKey(b []byte, f float64) []byte {
-	// Exact bit pattern; distinguishes -0 from 0, which is fine for dedup.
-	u := math.Float64bits(f)
-	for i := 0; i < 8; i++ {
-		b = append(b, byte(u>>(8*i)))
+// bitsHash mixes the coordinate bit patterns of p into 64 bits.
+func bitsHash(p Vector) uint64 {
+	h := uint64(len(p))
+	for _, c := range p {
+		h = bits.RotateLeft64(h^math.Float64bits(c)*0x9e3779b97f4a7c15, 31) * 0xc2b2ae3d27d4eb4f
 	}
-	return b
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return h
+}
+
+// sameBits reports whether p and q have the same dimension and identical
+// coordinate bit patterns.
+func sameBits(p, q Vector) bool {
+	if len(p) != len(q) {
+		return false
+	}
+	for i := range p {
+		if math.Float64bits(p[i]) != math.Float64bits(q[i]) {
+			return false
+		}
+	}
+	return true
 }

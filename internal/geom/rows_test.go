@@ -28,6 +28,11 @@ func TestRowsMatchGeomDot(t *testing.T) {
 			if rows.Len() != n {
 				t.Fatalf("d=%d n=%d: Len %d", d, n, rows.Len())
 			}
+			for i, p := range pts {
+				if r := rows.Row(i); !Equal(r, p) || cap(r) != d {
+					t.Fatalf("d=%d n=%d: Row(%d) = %v (cap %d), want %v", d, n, i, r, cap(r), p)
+				}
+			}
 			var out []float64
 			for q := 0; q < 4096; q++ {
 				u := NewVector(d)
@@ -50,6 +55,57 @@ func TestRowsMatchGeomDot(t *testing.T) {
 				wi, wv := MaxDot(pts, u)
 				if bi != wi || math.Float64bits(bv) != math.Float64bits(wv) {
 					t.Fatalf("d=%d n=%d: MaxDot (%d, %v) vs geom.MaxDot (%d, %v)", d, n, bi, bv, wi, wv)
+				}
+			}
+		}
+	}
+}
+
+// The direction-blocked scan must answer, for every direction, exactly
+// what MaxDot answers one direction at a time: the same index (ties to
+// the smallest) and the same value bits, whether the direction falls in
+// a block of four or in the remainder.
+func TestRowsMaxDotsMatchMaxDot(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for d := 1; d <= 8; d++ {
+		for _, n := range []int{1, 2, 5, 64, 103} {
+			pts := make([]Vector, n)
+			for i := range pts {
+				pts[i] = NewVector(d)
+				for k := range pts[i] {
+					pts[i][k] = rng.NormFloat64()
+				}
+			}
+			if n > 3 {
+				pts[2] = pts[2].Scale(10) // far out: it owns its own direction
+				pts[n-1] = pts[2].Clone() // an exact tie: argmax must stay at the smaller index
+			}
+			rows := NewRows(pts)
+			for _, m := range []int{0, 1, 3, 4, 6, 7, 13, 2*d + 128} {
+				us := make([]Vector, m)
+				for j := range us {
+					us[j] = NewVector(d)
+					for k := range us[j] {
+						us[j][k] = rng.NormFloat64()
+					}
+					if j%3 == 1 && n > 3 {
+						us[j] = pts[2].Clone() // direction owned by the duplicated row
+					}
+				}
+				idx, val := make([]int, m), make([]float64, m)
+				rows.MaxDots(us, idx, val)
+				for j, u := range us {
+					ri, rv := rows.MaxDot(u)
+					wi, wv := MaxDot(pts, u)
+					if idx[j] != ri || math.Float64bits(val[j]) != math.Float64bits(rv) {
+						t.Fatalf("d=%d n=%d m=%d dir %d: MaxDots (%d, %v) vs Rows.MaxDot (%d, %v)", d, n, m, j, idx[j], val[j], ri, rv)
+					}
+					if idx[j] != wi || math.Float64bits(val[j]) != math.Float64bits(wv) {
+						t.Fatalf("d=%d n=%d m=%d dir %d: MaxDots (%d, %v) vs geom.MaxDot (%d, %v)", d, n, m, j, idx[j], val[j], wi, wv)
+					}
+					if n > 3 && j%3 == 1 && idx[j] != 2 {
+						t.Fatalf("d=%d n=%d m=%d dir %d: tie went to row %d, want 2", d, n, m, j, idx[j])
+					}
 				}
 			}
 		}
@@ -111,4 +167,24 @@ func BenchmarkGeomMaxDot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, benchSink = MaxDot(pts, dirs[i%len(dirs)])
 	}
+}
+
+// The Clarkson warm start: 2d+128 support scans over 10 000 3-D points.
+func BenchmarkRowsMaxDots(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	pts := make([]Vector, 10000)
+	for i := range pts {
+		pts[i] = Vector{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+	}
+	dirs := make([]Vector, 134)
+	for i := range dirs {
+		dirs[i] = Vector{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+	}
+	rows := NewRows(pts)
+	idx, val := make([]int, len(dirs)), make([]float64, len(dirs))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows.MaxDots(dirs, idx, val)
+	}
+	benchSink = val[0]
 }

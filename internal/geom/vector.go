@@ -7,10 +7,7 @@
 // constant (the paper assumes d ≤ 10 in all experiments).
 package geom
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Vector is a point or direction in R^d.
 type Vector []float64
@@ -31,7 +28,7 @@ func (v Vector) Clone() Vector {
 // Dot returns the inner product ⟨v,w⟩. It panics if dimensions differ.
 func Dot(v, w Vector) float64 {
 	if len(v) != len(w) {
-		panic(fmt.Sprintf("geom: Dot dimension mismatch %d vs %d", len(v), len(w)))
+		panic("geom: Dot dimension mismatch")
 	}
 	var s float64
 	for i := range v {
@@ -151,6 +148,29 @@ func AxisVector(d, i int, sign float64) Vector {
 	v := NewVector(d)
 	v[i] = sign
 	return v
+}
+
+// AxisDirections returns the 2d signed axis directions +e₀, −e₀, +e₁,
+// −e₁, …, in one block (see NewBlock).
+func AxisDirections(d int) []Vector {
+	dirs := NewBlock(2*d, d)
+	for i := 0; i < d; i++ {
+		dirs[2*i][i], dirs[2*i+1][i] = 1, -1
+	}
+	return dirs
+}
+
+// NewBlock returns n zero vectors of dimension d backed by one
+// contiguous row-major array: vector i is the view flat[i*d:(i+1)*d],
+// capped at its own d coordinates so that appending to one vector
+// reallocates instead of writing into the next.
+func NewBlock(n, d int) []Vector {
+	flat := make([]float64, n*d)
+	out := make([]Vector, n)
+	for i := range out {
+		out[i] = flat[i*d : (i+1)*d : (i+1)*d]
+	}
+	return out
 }
 
 // Centroid returns the arithmetic mean of the given points. It panics on

@@ -2,7 +2,6 @@ package hull
 
 import (
 	"fmt"
-	"math/rand"
 
 	"mincore/internal/geom"
 	"mincore/internal/lp"
@@ -15,6 +14,15 @@ import (
 // the support point argmax_{q∈P}⟨q,u⟩ — a guaranteed vertex — is added to
 // S; the test for p repeats. Total work is O(n) containment tests plus ξ
 // support scans, where ξ is the number of extreme points.
+//
+// Every support scan runs over one flat row-major copy of the points
+// (geom.Rows), built once per call. S is seeded with the support points
+// of the 2d axis directions and a random direction sample; those scans
+// run as one blocked pass over the directions (Rows.MaxDots), four
+// directions per sweep of the points. Each later separating direction is
+// one Rows.MaxDot scan. Ties go to the smallest index, exactly as
+// geom.MaxDot breaks them, so the vertices are confirmed in the same
+// order whichever scan answers.
 //
 // A barycentric test against an inscribed simplex of S (O(d²)) discards
 // deep-interior points first. Every other point goes to one containment
@@ -96,16 +104,13 @@ func clarkson(pts []geom.Vector, noWarm bool) []int {
 
 	// Warm start: support points of the axis directions and a random
 	// direction sample are vertices (ties broken by scan order are still
-	// vertices under general position).
-	for i := 0; i < d; i++ {
-		for _, sg := range []float64{1, -1} {
-			j, _ := geom.MaxDot(pts, geom.AxisVector(d, i, sg))
-			add(j)
-		}
-	}
-	rng := rand.New(rand.NewSource(1))
-	for k := 0; k < warmDirections; k++ {
-		j, _ := geom.MaxDot(pts, sphere.RandomDirection(rng, d))
+	// vertices under general position). The 2d+warmDirections support
+	// scans run blocked, four directions per pass over the points.
+	rows := geom.NewRows(pts)
+	dirs := append(geom.AxisDirections(d), sphere.RandomDirections(warmDirections, d, 1)...)
+	support, supportVal := make([]int, len(dirs)), make([]float64, len(dirs))
+	rows.MaxDots(dirs, support, supportVal)
+	for _, j := range support {
 		add(j)
 	}
 
@@ -128,7 +133,7 @@ func clarkson(pts []geom.Vector, noWarm bool) []int {
 				break
 			}
 			// Outside: the support point in direction u is a vertex.
-			j, supv := geom.MaxDot(pts, u)
+			j, supv := rows.MaxDot(u)
 			if j == i || supv <= geom.Dot(p, u)+clarksonTol {
 				// p itself is (tied for) the support point → p is extreme.
 				add(i)
@@ -228,25 +233,34 @@ func buildInteriorSimplex(s []geom.Vector) *simplexTester {
 	// maximizing distance from the affine span of those chosen so far.
 	chosen := []geom.Vector{s[0]}
 	var basis []geom.Vector
+	w := make(geom.Vector, d)
+	// residual writes into w the component of cand − chosen[0]
+	// orthogonal to the basis, rounding each product before its
+	// subtraction as geom.Sub(w, b.Scale(t)) does, and returns its norm.
+	residual := func(cand geom.Vector) float64 {
+		for k := range w {
+			w[k] = cand[k] - chosen[0][k]
+		}
+		for _, b := range basis {
+			t := geom.Dot(w, b)
+			for k := range w {
+				w[k] -= float64(b[k] * t)
+			}
+		}
+		return w.Norm()
+	}
 	for len(chosen) < d+1 {
 		bestJ, bestD := -1, 0.0
 		for j, cand := range s {
-			w := geom.Sub(cand, chosen[0])
-			for _, b := range basis {
-				w = geom.Sub(w, b.Scale(geom.Dot(w, b)))
-			}
-			if dist := w.Norm(); dist > bestD {
+			if dist := residual(cand); dist > bestD {
 				bestD, bestJ = dist, j
 			}
 		}
 		if bestJ < 0 || bestD < 1e-9 {
 			return nil // points are not full-dimensional
 		}
-		w := geom.Sub(s[bestJ], chosen[0])
-		for _, b := range basis {
-			w = geom.Sub(w, b.Scale(geom.Dot(w, b)))
-		}
-		basis = append(basis, w.Scale(1/w.Norm()))
+		norm := residual(s[bestJ])
+		basis = append(basis, w.Scale(1/norm))
 		chosen = append(chosen, s[bestJ])
 	}
 	st := newSimplexTester(chosen)

@@ -42,14 +42,12 @@ func fillDirection(rng *rand.Rand, v geom.Vector) {
 
 // RandomDirections returns n uniformly distributed unit vectors in R^d,
 // deterministically from the seed. The vectors share one backing array
-// (each capped at its own d coordinates).
+// (see geom.NewBlock).
 func RandomDirections(n, d int, seed int64) []geom.Vector {
 	rng := rand.New(rand.NewSource(seed))
-	buf := make([]float64, n*d)
-	out := make([]geom.Vector, n)
-	for i := range out {
-		out[i] = buf[i*d : (i+1)*d : (i+1)*d]
-		fillDirection(rng, out[i])
+	out := geom.NewBlock(n, d)
+	for _, v := range out {
+		fillDirection(rng, v)
 	}
 	return out
 }

@@ -33,19 +33,31 @@ type Affine struct {
 
 // Apply maps a point into normalized coordinates.
 func (a *Affine) Apply(p geom.Vector) geom.Vector {
-	q := geom.Sub(p, a.Center)
 	y := geom.NewVector(len(a.Basis))
-	for i, b := range a.Basis {
-		y[i] = geom.Dot(q, b) / a.Scale[i]
-	}
+	a.applyTo(y, make(geom.Vector, len(p)), p)
 	return y
 }
 
-// ApplyAll maps every point.
+// applyTo writes the image of p into y, using q as scratch for p − c.
+func (a *Affine) applyTo(y, q, p geom.Vector) {
+	for k := range q {
+		q[k] = p[k] - a.Center[k]
+	}
+	for i, b := range a.Basis {
+		y[i] = geom.Dot(q, b) / a.Scale[i]
+	}
+}
+
+// ApplyAll maps every point. The images share one backing array (see
+// geom.NewBlock).
 func (a *Affine) ApplyAll(pts []geom.Vector) []geom.Vector {
-	out := make([]geom.Vector, len(pts))
+	out := geom.NewBlock(len(pts), len(a.Basis))
+	if len(pts) == 0 {
+		return out
+	}
+	q := make(geom.Vector, len(pts[0]))
 	for i, p := range pts {
-		out[i] = a.Apply(p)
+		a.applyTo(out[i], q, p)
 	}
 	return out
 }
@@ -78,18 +90,10 @@ func Fatten(pts []geom.Vector) (*Affine, []geom.Vector, error) {
 	// Pass 1: extents along the basis → box center and scale.
 	center, scale := boxOf(pts, basis)
 	aff := &Affine{Basis: basis, Center: center, Scale: scale}
-	mapped := aff.ApplyAll(pts)
 
 	// Pass 2: re-center at the mean of the 2d axis-extreme points (an
 	// interior point of the hull), then rescale to restore [−1,1]^d.
-	var anchors []geom.Vector
-	for i := 0; i < d; i++ {
-		for _, sg := range []float64{1, -1} {
-			j, _ := geom.MaxDot(mapped, geom.AxisVector(d, i, sg))
-			anchors = append(anchors, mapped[j])
-		}
-	}
-	inner := geom.Centroid(anchors)
+	inner := geom.Centroid(aff.axisExtremes(pts))
 	// Compose: new center in original coordinates, recompute extents.
 	center2 := aff.Invert(inner)
 	aff2 := &Affine{Basis: basis, Center: center2, Scale: scale}
@@ -98,23 +102,48 @@ func Fatten(pts []geom.Vector) (*Affine, []geom.Vector, error) {
 	return aff2, aff2.ApplyAll(pts), nil
 }
 
+// axisExtremes returns the images of the points maximizing ⟨a(p), +e_i⟩
+// and ⟨a(p), −e_i⟩ for i = 0…d−1, in that order, ties to the first
+// point. It maps one point at a time instead of keeping the mapped set:
+// ⟨y, ±e_i⟩ orders points exactly as ±y_i does.
+func (a *Affine) axisExtremes(pts []geom.Vector) []geom.Vector {
+	d := len(a.Basis)
+	y, q := make(geom.Vector, d), make(geom.Vector, len(pts[0]))
+	hi, lo := make([]int, d), make([]int, d)
+	hiV, loV := make([]float64, d), make([]float64, d)
+	for j, p := range pts {
+		a.applyTo(y, q, p)
+		for i, v := range y {
+			if j == 0 || v > hiV[i] {
+				hi[i], hiV[i] = j, v
+			}
+			if j == 0 || v < loV[i] {
+				lo[i], loV[i] = j, v
+			}
+		}
+	}
+	anchors := make([]geom.Vector, 0, 2*d)
+	for i := range hi {
+		anchors = append(anchors, a.Apply(pts[hi[i]]), a.Apply(pts[lo[i]]))
+	}
+	return anchors
+}
+
 // farPointBasis builds an orthonormal basis from recursive approximate
 // diameter directions: the farthest-point pair gives the first axis; the
 // points are projected onto the orthogonal complement and the step
 // repeats.
 func farPointBasis(pts []geom.Vector) []geom.Vector {
 	d := pts[0].Dim()
-	work := make([]geom.Vector, len(pts))
-	for i, p := range pts {
-		work[i] = p.Clone()
-	}
+	work := geom.NewRows(pts) // projected in place
+	diff := make(geom.Vector, d)
 	var basis []geom.Vector
 	for len(basis) < d {
-		// Approximate diameter of the projected set: farthest from work[0],
+		// Approximate diameter of the projected set: farthest from row 0,
 		// then farthest from that.
-		a := farthestFrom(work, work[0])
-		b := farthestFrom(work, work[a])
-		dir := geom.Sub(work[b], work[a])
+		a := farthestFrom(work, work.Row(0), diff)
+		b := farthestFrom(work, work.Row(a), diff)
+		dir := geom.Sub(work.Row(b), work.Row(a))
 		n := dir.Norm()
 		if n < 1e-12 {
 			break // remaining extent is zero
@@ -129,17 +158,29 @@ func farPointBasis(pts []geom.Vector) []geom.Vector {
 			break
 		}
 		basis = append(basis, un)
-		for i := range work {
-			work[i] = geom.Sub(work[i], un.Scale(geom.Dot(work[i], un)))
+		// Project out un in place: w − un·⟨w,un⟩, rounding the product
+		// before the subtraction exactly as geom.Sub(w, un.Scale(t)) does.
+		for i := 0; i < work.Len(); i++ {
+			w := work.Row(i)
+			t := geom.Dot(w, un)
+			for k := range w {
+				w[k] -= float64(un[k] * t)
+			}
 		}
 	}
 	return basis
 }
 
-func farthestFrom(pts []geom.Vector, q geom.Vector) int {
+// farthestFrom returns the index of the row farthest from q, using diff
+// as scratch for p − q.
+func farthestFrom(pts geom.Rows, q, diff geom.Vector) int {
 	best, bestD := 0, -1.0
-	for i, p := range pts {
-		if dd := geom.Dist(p, q); dd > bestD {
+	for i := 0; i < pts.Len(); i++ {
+		p := pts.Row(i)
+		for k := range diff {
+			diff[k] = p[k] - q[k]
+		}
+		if dd := diff.Norm(); dd > bestD {
 			best, bestD = i, dd
 		}
 	}
@@ -184,8 +225,11 @@ func boxOf(pts []geom.Vector, basis []geom.Vector) (geom.Vector, geom.Vector) {
 func boxOfCentered(pts []geom.Vector, basis []geom.Vector, c geom.Vector) (geom.Vector, geom.Vector) {
 	d := len(basis)
 	scale := geom.NewVector(d)
+	q := make(geom.Vector, len(c))
 	for _, p := range pts {
-		q := geom.Sub(p, c)
+		for k := range q {
+			q[k] = p[k] - c[k]
+		}
 		for i, b := range basis {
 			if v := math.Abs(geom.Dot(q, b)); v > scale[i] {
 				scale[i] = v
@@ -201,26 +245,23 @@ func boxOfCentered(pts []geom.Vector, basis []geom.Vector, c geom.Vector) (geom.
 }
 
 // EmpiricalFatness estimates α = min_u ω(P,u) / max_u ω(P,u) over k
-// sampled directions (plus the 2d axis directions). A nonpositive return
-// means the origin is outside (or on the boundary of) the hull and the
-// set is not fat.
-func EmpiricalFatness(pts []geom.Vector, k int, seed int64) float64 {
-	if len(pts) == 0 {
+// sampled directions (plus the 2d axis directions), for the points held
+// in one row-major block. A nonpositive return means the origin is
+// outside (or on the boundary of) the hull and the set is not fat.
+func EmpiricalFatness(pts geom.Rows, k int, seed int64) float64 {
+	if pts.Len() == 0 {
 		return 0
 	}
-	d := pts[0].Dim()
-	dirs := sphere.RandomDirections(k, d, seed)
-	for i := 0; i < d; i++ {
-		dirs = append(dirs, geom.AxisVector(d, i, 1), geom.AxisVector(d, i, -1))
-	}
+	dirs := append(sphere.RandomDirections(k, pts.D, seed), geom.AxisDirections(pts.D)...)
+	idx, w := make([]int, len(dirs)), make([]float64, len(dirs))
+	pts.MaxDots(dirs, idx, w)
 	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, u := range dirs {
-		_, w := geom.MaxDot(pts, u)
-		if w < lo {
-			lo = w
+	for _, v := range w {
+		if v < lo {
+			lo = v
 		}
-		if w > hi {
-			hi = w
+		if v > hi {
+			hi = v
 		}
 	}
 	if hi <= 0 {

@@ -52,7 +52,7 @@ func TestFattenPositiveMaxima(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		alpha := EmpiricalFatness(mapped, 2000, 3)
+		alpha := EmpiricalFatness(geom.NewRows(mapped), 2000, 3)
 		if alpha <= 0 {
 			t.Fatalf("d=%d: fatness %v not positive", d, alpha)
 		}
@@ -73,7 +73,7 @@ func TestFattenAnisotropicData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alpha := EmpiricalFatness(mapped, 2000, 4)
+	alpha := EmpiricalFatness(geom.NewRows(mapped), 2000, 4)
 	if alpha < 0.005 {
 		t.Fatalf("anisotropic fatness too low: %v", alpha)
 	}
@@ -109,16 +109,16 @@ func TestFattenDegenerate(t *testing.T) {
 func TestEmpiricalFatnessKnown(t *testing.T) {
 	// Unit circle points: fatness ≈ 1.
 	circle := sphere.Circle(100)
-	a := EmpiricalFatness(circle, 1000, 5)
+	a := EmpiricalFatness(geom.NewRows(circle), 1000, 5)
 	if a < 0.95 {
 		t.Fatalf("circle fatness = %v want ≈ 1", a)
 	}
 	// Points all in the positive quadrant far from origin: not fat.
 	pts := []geom.Vector{{1, 1}, {2, 1}, {1, 2}}
-	if a := EmpiricalFatness(pts, 1000, 6); a > 0 {
+	if a := EmpiricalFatness(geom.NewRows(pts), 1000, 6); a > 0 {
 		t.Fatalf("non-fat set reported fatness %v", a)
 	}
-	if EmpiricalFatness(nil, 10, 7) != 0 {
+	if EmpiricalFatness(geom.Rows{}, 10, 7) != 0 {
 		t.Fatal("empty set should report 0")
 	}
 }

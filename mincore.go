@@ -145,8 +145,9 @@ type Coreseter struct {
 }
 
 // dropConstantDims removes dimensions whose value range is negligible
-// relative to the widest dimension, returning the projected points and
-// the indices of the kept dimensions.
+// relative to the widest dimension, returning the projected points (in
+// one new block, or pts itself when every dimension is kept) and the
+// indices of the kept dimensions.
 func dropConstantDims(pts []geom.Vector) ([]geom.Vector, []int) {
 	if len(pts) == 0 {
 		return pts, nil
@@ -179,13 +180,11 @@ func dropConstantDims(pts []geom.Vector) ([]geom.Vector, []int) {
 	if len(kept) == d {
 		return pts, kept
 	}
-	out := make([]geom.Vector, len(pts))
+	out := geom.NewBlock(len(pts), len(kept))
 	for i, p := range pts {
-		q := make(geom.Vector, len(kept))
 		for k, j := range kept {
-			q[k] = p[j]
+			out[i][k] = p[j]
 		}
-		out[i] = q
 	}
 	return out, kept
 }
@@ -209,7 +208,9 @@ func New(points []Point, opts ...Option) (*Coreseter, error) {
 	if d < 1 {
 		return nil, fmt.Errorf("mincore: zero-dimensional points")
 	}
-	pts := make([]geom.Vector, len(points))
+	// One contiguous block carries the points through every stage (see
+	// geom.NewBlock); each stage writes its output into one new block.
+	pts := geom.NewBlock(len(points), d)
 	for i, p := range points {
 		if len(p) != d {
 			return nil, fmt.Errorf("%w: point %d has dimension %d, want %d", ErrInvalidPoint, i, len(p), d)
@@ -219,7 +220,7 @@ func New(points []Point, opts ...Option) (*Coreseter, error) {
 				return nil, fmt.Errorf("%w: point %d coordinate %d is %v", ErrInvalidPoint, i, j, v)
 			}
 		}
-		pts[i] = geom.Vector(p).Clone()
+		copy(pts[i], p)
 	}
 	pts = geom.Dedup(pts)
 

@@ -118,15 +118,17 @@ GOMAXPROCS=4 go test -race -count=1 \
 # must reproduce the baseline bit for bit across worker counts, and the
 # warm-started Clarkson hull pass must match the 3D hull, a brute-force
 # LP per point, and its own cold-solve run bit for bit; the flat
-# extreme-point kernel must match geom.Dot/MaxDot bit for bit, the
-# early-exit sampled screen must match the full sampled maximum's
-# decision, and SCMC/DSMC/auto selections must match the golden file —
+# kernel, one direction or four per pass, must match geom.Dot/MaxDot
+# bit for bit, the early-exit sampled screen must match the full sampled
+# maximum's decision, SCMC/DSMC/auto selections and New's normalized
+# points, extreme points and α must match their golden files, and New's
+# point views must be capped —
 # then the allocation-regression gates, run plain because race
 # instrumentation inflates alloc counts (the gate files are excluded
 # via //go:build !race).
-echo "== raw speed (warm-start determinism, golden selections, hull and kernel differentials, alloc gates)"
+echo "== raw speed (warm-start determinism, golden selections and New, hull and kernel differentials, alloc gates)"
 GOMAXPROCS=4 go test -race -count=1 \
-    -run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestClarksonMatchesHull3D|TestClarksonMatchesBruteForce|TestClarksonColdMatchesWarmBitwise|TestRowsMatchGeomDot|TestSampledScreenMatchesMaxLoss|TestSelectionMatchesParentGolden' ./internal/core/ ./internal/lp/ ./internal/hull/ ./internal/geom/
-go test -count=1 -run 'TestSolverAllocsSteadyState|TestEdgeLPAllocs|TestClarksonAllocs|TestOmegaAllocs' ./internal/lp/ ./internal/core/ ./internal/hull/
+    -run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestClarksonMatchesHull3D|TestClarksonMatchesBruteForce|TestClarksonColdMatchesWarmBitwise|TestRowsMatchGeomDot|TestSampledScreenMatchesMaxLoss|TestSelectionMatchesParentGolden|TestRowsMaxDotsMatchMaxDot|TestNewMatchesParentGolden|TestPointViewsAreCapped' . ./internal/core/ ./internal/lp/ ./internal/hull/ ./internal/geom/
+go test -count=1 -run 'TestSolverAllocsSteadyState|TestEdgeLPAllocs|TestClarksonAllocs|TestOmegaAllocs|TestNewAllocs' . ./internal/lp/ ./internal/core/ ./internal/hull/
 
 echo "verify: OK"
