@@ -57,11 +57,12 @@ wal:
 		-run 'TestParseWALConfig|TestGracefulShutdownDrains|TestIngestStorageUnavailableHTTP|TestWALMetricFamilies' ./cmd/mcserve/
 
 # Multi-tenant serving under the race detector: registry lifecycle,
-# deterministic fair-share scheduling, quota shedding, and the v1 HTTP
-# API (tenant CRUD, error envelope, legacy aliases, labeled metrics).
+# deterministic fair-share scheduling (a standalone service's queueless
+# scheduler included), quota shedding, and the v1 HTTP API (tenant
+# CRUD, error envelope, labeled metrics).
 tenants:
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
-		-run 'TestScheduler|TestTenant|TestValidTenantID' .
+		-run 'TestScheduler|TestTenant|TestValidTenantID|TestServeAdmissionControl' .
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./cmd/mcserve/
 
 # Degraded-mode serving under the race detector: tenant quarantine and

@@ -186,8 +186,6 @@ func TestRequestBodyLimits(t *testing.T) {
 			map[string]any{"points": ringPoints(32, 1)}, http.StatusAccepted, ""},
 		{"ingest too large", "POST", "/v1/tenants/default/ingest",
 			map[string]any{"points": bigBatch}, http.StatusRequestEntityTooLarge, "request_too_large"},
-		{"legacy ingest too large", "POST", "/ingest",
-			map[string]any{"points": bigBatch}, http.StatusRequestEntityTooLarge, "request_too_large"},
 		{"create within limit", "POST", "/v1/tenants",
 			map[string]any{"id": "roomy"}, http.StatusCreated, ""},
 		{"create too large", "POST", "/v1/tenants",

@@ -20,8 +20,8 @@ import (
 const testMaxBody = 256 << 10
 
 // newTestServer builds the real route table over a live tenant
-// registry (with the default tenant the legacy routes alias onto),
-// exactly as main() does minus the listener and signal handling.
+// registry (with the default tenant main creates at startup), exactly
+// as main() does minus the listener and signal handling.
 func newTestServer(t *testing.T, opts mincore.RegistryOptions) (*httptest.Server, *mincore.TenantRegistry) {
 	t.Helper()
 	obs.Enable()
@@ -43,15 +43,13 @@ func newTestServer(t *testing.T, opts mincore.RegistryOptions) (*httptest.Server
 	return ts, reg
 }
 
-// feedPoints POSTs pts to an ingest path and waits until the tenant has
-// applied them: the 202 ack only means the batch was queued, so a query
-// sent right after it could otherwise see the stream without them.
+// feedPoints POSTs pts to a /v1/tenants/{id}/ingest path and waits
+// until the tenant has applied them: the 202 ack only means the batch
+// was queued, so a query sent right after it could otherwise see the
+// stream without them.
 func feedPoints(t *testing.T, ts *httptest.Server, path string, pts [][]float64) {
 	t.Helper()
-	tenant := defaultTenant
-	if id, ok := strings.CutPrefix(path, "/v1/tenants/"); ok {
-		tenant = strings.TrimSuffix(id, "/ingest")
-	}
+	tenant := strings.TrimSuffix(strings.TrimPrefix(path, "/v1/tenants/"), "/ingest")
 	_, st := doJSON(t, ts, "GET", "/v1/tenants/"+tenant+"/stats", nil)
 	before, ok := st["ingested"].(float64)
 	if !ok {
@@ -76,19 +74,19 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		pts = append(pts, []float64{float64(i%17) / 17, float64((i*7)%13) / 13})
 	}
-	feedPoints(t, ts, "/ingest", pts)
+	feedPoints(t, ts, "/v1/tenants/default/ingest", pts)
 
 	// A build exercises the solver metric families before the scrape;
 	// repeating it hits the served-coreset cache, so the cache families
 	// carry non-zero samples too.
 	for i := 0; i < 2; i++ {
-		resp, err := http.Get(ts.URL + "/coreset?eps=0.2")
+		resp, err := http.Get(ts.URL + "/v1/tenants/default/coreset?eps=0.2")
 		if err != nil {
-			t.Fatalf("GET /coreset: %v", err)
+			t.Fatalf("GET coreset: %v", err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET /coreset: status %d", resp.StatusCode)
+			t.Fatalf("GET coreset: status %d", resp.StatusCode)
 		}
 	}
 
@@ -151,10 +149,10 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		t.Errorf(`serve cache hits = %v, want >= 1`, v)
 	}
 
-	// /stats mirrors the serve-layer cache counters.
-	resp, err = http.Get(ts.URL + "/stats")
+	// The tenant's stats mirror the serve-layer cache counters.
+	resp, err = http.Get(ts.URL + "/v1/tenants/default/stats")
 	if err != nil {
-		t.Fatalf("GET /stats: %v", err)
+		t.Fatalf("GET stats: %v", err)
 	}
 	defer resp.Body.Close()
 	var st struct {
@@ -162,26 +160,26 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		CacheMisses int64 `json:"cache_misses"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatalf("decode /stats: %v", err)
+		t.Fatalf("decode stats: %v", err)
 	}
 	if st.CacheMisses != 1 || st.CacheHits != 1 {
-		t.Errorf("/stats cache counters: hits=%d misses=%d, want 1/1", st.CacheHits, st.CacheMisses)
+		t.Errorf("stats cache counters: hits=%d misses=%d, want 1/1", st.CacheHits, st.CacheMisses)
 	}
 }
 
 func TestServeJSONContentType(t *testing.T) {
 	ts, _ := newTestServer(t, mincore.RegistryOptions{Dim: 2, Eps: 0.1, Seed: 7})
-	feedPoints(t, ts, "/ingest", [][]float64{{0.2, 0.9}, {0.9, 0.2}, {0.6, 0.6}})
+	feedPoints(t, ts, "/v1/tenants/default/ingest", [][]float64{{0.2, 0.9}, {0.9, 0.2}, {0.6, 0.6}})
 
 	for _, tc := range []struct {
 		method, path string
 		wantStatus   int
 	}{
-		{"GET", "/stats", http.StatusOK},
-		{"GET", "/summary", http.StatusOK},
-		{"GET", "/coreset?eps=0.3", http.StatusOK},
-		{"POST", "/checkpoint", http.StatusOK},
-		{"GET", "/coreset?eps=nope", http.StatusBadRequest}, // error path too
+		{"GET", "/v1/tenants/default/stats", http.StatusOK},
+		{"GET", "/v1/tenants/default/summary", http.StatusOK},
+		{"GET", "/v1/tenants/default/coreset?eps=0.3", http.StatusOK},
+		{"POST", "/v1/tenants/default/snapshot", http.StatusOK},
+		{"GET", "/v1/tenants/default/coreset?eps=nope", http.StatusBadRequest}, // error path too
 		{"GET", "/v1/tenants", http.StatusOK},
 		{"GET", "/v1/stats", http.StatusOK},
 		{"GET", "/v1/tenants/nope/stats", http.StatusNotFound},
@@ -208,17 +206,17 @@ func TestServeStatsCheckpointLag(t *testing.T) {
 		SnapshotDir:        dir,
 		CheckpointInterval: time.Hour, // only explicit checkpoints
 	})
-	feedPoints(t, ts, "/ingest", [][]float64{{0.1, 0.8}, {0.8, 0.1}})
+	feedPoints(t, ts, "/v1/tenants/default/ingest", [][]float64{{0.1, 0.8}, {0.8, 0.1}})
 
 	get := func() map[string]any {
-		resp, err := http.Get(ts.URL + "/stats")
+		resp, err := http.Get(ts.URL + "/v1/tenants/default/stats")
 		if err != nil {
-			t.Fatalf("GET /stats: %v", err)
+			t.Fatalf("GET stats: %v", err)
 		}
 		defer resp.Body.Close()
 		var m map[string]any
 		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-			t.Fatalf("decode /stats: %v", err)
+			t.Fatalf("decode stats: %v", err)
 		}
 		return m
 	}
@@ -226,9 +224,9 @@ func TestServeStatsCheckpointLag(t *testing.T) {
 	if m := get(); m["checkpoint_lag_seconds"] != nil {
 		t.Errorf("checkpoint_lag_seconds present before any checkpoint: %v", m)
 	}
-	resp, err := http.Post(ts.URL+"/checkpoint", "application/json", nil)
+	resp, err := http.Post(ts.URL+"/v1/tenants/default/snapshot", "application/json", nil)
 	if err != nil {
-		t.Fatalf("POST /checkpoint: %v", err)
+		t.Fatalf("POST snapshot: %v", err)
 	}
 	resp.Body.Close()
 	m := get()
@@ -261,15 +259,15 @@ func TestServeCoresetReportHasTrace(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		pts = append(pts, []float64{float64(i) / 32, float64((i*11)%32) / 32})
 	}
-	feedPoints(t, ts, "/ingest", pts)
+	feedPoints(t, ts, "/v1/tenants/default/ingest", pts)
 
-	resp, err := http.Get(ts.URL + "/coreset?eps=0.2")
+	resp, err := http.Get(ts.URL + "/v1/tenants/default/coreset?eps=0.2")
 	if err != nil {
-		t.Fatalf("GET /coreset: %v", err)
+		t.Fatalf("GET coreset: %v", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /coreset: status %d", resp.StatusCode)
+		t.Fatalf("GET coreset: status %d", resp.StatusCode)
 	}
 	var out struct {
 		Report struct {
@@ -282,7 +280,7 @@ func TestServeCoresetReportHasTrace(t *testing.T) {
 		} `json:"report"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatalf("decode /coreset: %v", err)
+		t.Fatalf("decode coreset: %v", err)
 	}
 	tr := out.Report.Trace
 	if tr == nil || tr.Root == nil {

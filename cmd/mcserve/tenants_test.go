@@ -199,56 +199,6 @@ func TestTenantErrorEnvelope(t *testing.T) {
 	}
 }
 
-// TestLegacyRoutesAliasDefaultTenant: the unversioned routes serve the
-// default tenant, advertise their deprecation, and keep the
-// single-tenant response shapes (no multi-tenant keys).
-func TestLegacyRoutesAliasDefaultTenant(t *testing.T) {
-	ts, _ := newTestServer(t, mincore.RegistryOptions{Dim: 2, Eps: 0.05, Seed: 5})
-
-	feedPoints(t, ts, "/ingest", ringPoints(40, 2)) // legacy ingest path
-
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatalf("GET /stats: %v", err)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy route missing Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); link != `</v1/tenants/default>; rel="successor-version"` {
-		t.Errorf("legacy Link header = %q", link)
-	}
-	var legacy map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&legacy); err != nil {
-		t.Fatalf("decode legacy stats: %v", err)
-	}
-	resp.Body.Close()
-	for _, key := range []string{"tenant", "quota_shed"} {
-		if _, ok := legacy[key]; ok {
-			t.Errorf("legacy /stats leaks multi-tenant key %q", key)
-		}
-	}
-
-	resp2, v1 := doJSON(t, ts, "GET", "/v1/tenants/default/stats", nil)
-	if resp2.Header.Get("Deprecation") != "" {
-		t.Error("v1 route carries a Deprecation header")
-	}
-	if v1["tenant"] != "default" {
-		t.Errorf("v1 stats tenant = %v, want default", v1["tenant"])
-	}
-	if _, ok := v1["quota_shed"]; !ok {
-		t.Error("v1 stats missing quota_shed")
-	}
-	if legacy["ingested"] != v1["ingested"] {
-		t.Errorf("legacy and v1 stats disagree: %v vs %v", legacy["ingested"], v1["ingested"])
-	}
-
-	// Legacy /coreset keeps the historical ε default of 0.05.
-	_, core := doJSON(t, ts, "GET", "/coreset", nil)
-	if core["eps"] != 0.05 {
-		t.Errorf("legacy /coreset eps = %v, want 0.05", core["eps"])
-	}
-}
-
 // TestTenantMetricsLabels: the scrape carries tenant-labeled series for
 // the service-boundary families of registry-hosted tenants.
 func TestTenantMetricsLabels(t *testing.T) {

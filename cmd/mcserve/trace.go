@@ -60,7 +60,6 @@ func httpDurationHist(route string) *obs.Histogram {
 func routeLabel(method, path string) string {
 	switch path {
 	case "/v1/tenants", "/v1/stats",
-		"/ingest", "/coreset", "/summary", "/stats", "/checkpoint",
 		"/healthz", "/readyz", "/metrics", "/debug/vars", "/debug/traces":
 		return method + " " + path
 	}
@@ -81,17 +80,12 @@ func routeLabel(method, path string) string {
 }
 
 // tenantFromPath extracts the tenant a request addresses: the {id}
-// path segment on versioned routes, the default tenant on the legacy
-// aliases, "" for untenanted routes (tenant creation, fleet stats,
-// probes).
+// path segment on tenant routes, "" for untenanted routes (tenant
+// creation, fleet stats, probes).
 func tenantFromPath(path string) string {
 	if rest, ok := strings.CutPrefix(path, "/v1/tenants/"); ok {
 		id, _, _ := strings.Cut(rest, "/")
 		return id
-	}
-	switch path {
-	case "/ingest", "/coreset", "/summary", "/stats", "/checkpoint":
-		return defaultTenant
 	}
 	return ""
 }

@@ -370,7 +370,7 @@ func TestRouteLabelTable(t *testing.T) {
 		{"GET", "/v1/tenants/acme/traces", "GET /v1/tenants/{id}/traces"},
 		{"POST", "/v1/tenants", "POST /v1/tenants"},
 		{"GET", "/v1/stats", "GET /v1/stats"},
-		{"GET", "/coreset", "GET /coreset"},
+		{"POST", "/ingest", "other"},
 		{"GET", "/debug/pprof/heap", "GET /debug/pprof/*"},
 		{"GET", "/v1/tenants/acme/nonsense", "other"},
 		{"GET", "/totally/unknown", "other"},
@@ -381,11 +381,19 @@ func TestRouteLabelTable(t *testing.T) {
 			t.Errorf("routeLabel(%s, %s) = %q, want %q", c.method, c.path, got, c.want)
 		}
 	}
+	// Unversioned tenant paths are not routes.
+	ts, _ := newTestServer(t, mincore.RegistryOptions{Dim: 2, Seed: 1})
+	resp, err := http.Post(ts.URL+"/ingest", "application/json",
+		strings.NewReader(`{"points": [[0.1, 0.2]]}`))
+	if err != nil {
+		t.Fatalf("POST /ingest: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /ingest: status %d, want 404", resp.StatusCode)
+	}
 	if got := tenantFromPath("/v1/tenants/acme/ingest"); got != "acme" {
 		t.Errorf("tenantFromPath = %q", got)
-	}
-	if got := tenantFromPath("/ingest"); got != defaultTenant {
-		t.Errorf("legacy tenantFromPath = %q", got)
 	}
 	if got := tenantFromPath("/healthz"); got != "" {
 		t.Errorf("untenanted tenantFromPath = %q", got)

@@ -32,11 +32,14 @@ import (
 // weight w ≥ 1, a tenant's head request is granted within one round of
 // enqueueing — no matter how deep any other tenant's backlog is.
 //
-// Queues are bounded (maxQueued per tenant); excess requests shed with
-// ErrOverloaded exactly like the legacy semaphore's fast-fail, but only
-// against the tenant's own backlog. Grant order is a pure function of
-// the enqueue order, which keeps the scheduler tests deterministic: the
-// "clock" is the grant sequence number, not wall time.
+// Queues are bounded (maxQueued per tenant); a request that finds every
+// slot held and its tenant's queue full sheds with ErrOverloaded, so one
+// tenant's backlog never sheds another's requests. maxQueued = 0 means
+// no waiting at all: a standalone IngestService runs as the only tenant
+// of such a scheduler and fails fast while every slot is held. Grant
+// order is a pure function of the enqueue order, which keeps the
+// scheduler tests deterministic: the "clock" is the grant sequence
+// number, not wall time.
 
 // Scheduler weight bounds. The DRR top-up grows a tenant's deficit by
 // quantum × weight once per ring pass, so a pathologically small weight
@@ -149,7 +152,8 @@ type buildScheduler struct {
 }
 
 // newBuildScheduler returns a scheduler admitting maxInflight concurrent
-// builds with at most maxQueued pending requests per tenant. budget > 0
+// builds with at most maxQueued pending requests per tenant (0 = shed at
+// once while every slot is held). budget > 0
 // arms the build watchdog: a grant held longer than budget is cancelled
 // (its context dies with cause ErrWatchdogKilled) and its slot reclaimed.
 // clock overrides time.Now for the watchdog; injecting a clock also
@@ -158,9 +162,6 @@ type buildScheduler struct {
 func newBuildScheduler(maxInflight, maxQueued int, budget time.Duration, clock func() time.Time) *buildScheduler {
 	if maxInflight < 1 {
 		maxInflight = 1
-	}
-	if maxQueued < 1 {
-		maxQueued = 16
 	}
 	b := &buildScheduler{
 		maxInflight: maxInflight,
@@ -295,9 +296,13 @@ func (b *buildScheduler) acquire(ctx context.Context, tenant string, weight floa
 		b.queues[tenant] = q
 	}
 	q.weight = weight
-	if len(q.waiters) >= b.maxQueued {
+	// Dispatch is eager, so pending requests imply every slot is held;
+	// the inflight test only matters when maxQueued is 0.
+	if b.inflight >= b.maxInflight && len(q.waiters) >= b.maxQueued {
+		err := fmt.Errorf("%w: %d builds in flight, %d pending for tenant %q",
+			ErrOverloaded, b.inflight, len(q.waiters), tenant)
 		b.mu.Unlock()
-		return fail(fmt.Errorf("%w: %d builds pending for tenant %q", ErrOverloaded, b.maxQueued, tenant))
+		return fail(err)
 	}
 	q.waiters = append(q.waiters, w)
 	if !q.inRing {

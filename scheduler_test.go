@@ -174,6 +174,30 @@ func TestSchedulerShedsPerTenantBacklog(t *testing.T) {
 	}
 }
 
+// TestSchedulerZeroQueueFastFails: with maxQueued = 0 nothing waits —
+// an acquire while the only slot is held sheds at once instead of
+// queueing. The deadline turns a regression into a failure, not a hang.
+func TestSchedulerZeroQueueFastFails(t *testing.T) {
+	b := newBuildScheduler(1, 0, 0, nil)
+	held := mustAcquire(t, b, "", 1)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, _, err := b.acquire(ctx, "", 1); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("acquire with the slot held = %v, want ErrOverloaded", err)
+	}
+	if st := b.stats(); st.Pending[""] != 0 || st.Inflight != 1 {
+		t.Fatalf("after shed: pending=%d inflight=%d, want 0/1", st.Pending[""], st.Inflight)
+	}
+
+	held.release()
+	_, g, err := b.acquire(ctx, "", 1)
+	if err != nil {
+		t.Fatalf("acquire after release: %v", err)
+	}
+	g.release()
+}
+
 // TestSchedulerCancelRemovesWaiter: a context-cancelled waiter leaves
 // the queue; the tenant's ring entry disappears when emptied.
 func TestSchedulerCancelRemovesWaiter(t *testing.T) {

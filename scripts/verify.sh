@@ -73,14 +73,15 @@ GOMAXPROCS=4 go test -race -count=1 \
     -run 'TestBuildCache|TestResultCache|TestWithBuildCache|TestFixedSizeBracket|TestCoresetSweep|TestServeCoreset|TestServeBuildCache|TestQuantizeEps' .
 
 # Multi-tenant serving: tenant registry lifecycle, deterministic DRR
-# fair-share scheduling (starvation bound, weighted draining), quota
+# fair-share scheduling (starvation bound, weighted draining, and the
+# queueless scheduler a standalone service admits builds through), quota
 # shedding with an injected clock, and the versioned HTTP API — the
 # mcserve leg above already stands up the /v1 mux through httptest and
 # scrapes the tenant-labeled metric families; here the library-level
 # tenant and scheduler suites run under the race detector too.
 echo "== multi-tenant (registry, fair-share scheduler, quotas)"
 GOMAXPROCS=4 go test -race -count=1 \
-    -run 'TestScheduler|TestTenant|TestValidTenantID' .
+    -run 'TestScheduler|TestTenant|TestValidTenantID|TestServeAdmissionControl' .
 
 # Degraded-mode serving: tenant quarantine + the in-place recover
 # ladder, stale-coreset fallback (bounds, never-silent marking), the

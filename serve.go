@@ -41,7 +41,7 @@ import (
 //     snapshot position (idempotent by sequence number), and checkpoint
 //     success truncates the log — acknowledged == durable,
 //   - never collapse under load: the ingest queue and the build
-//     semaphore are bounded, and both shed with typed ErrOverloaded
+//     scheduler are bounded, and both shed with typed ErrOverloaded
 //     instead of queueing without bound,
 //   - never block past a caller's deadline: build requests propagate
 //     their context into CoresetCtx, cancelling mid-build within a few
@@ -223,8 +223,10 @@ type ServeOptions struct {
 	// QueueSize bounds the batch queue feeding the workers; a full
 	// queue sheds with ErrOverloaded (default 256 batches).
 	QueueSize int
-	// MaxInflightBuilds bounds concurrent Coreset builds; excess
-	// requests shed with ErrOverloaded (default 2).
+	// MaxInflightBuilds bounds a standalone service's concurrent Coreset
+	// builds; a request that finds every slot held sheds at once with
+	// ErrOverloaded (default 2). A registry tenant shares the registry's
+	// RegistryOptions.MaxInflightBuilds instead.
 	MaxInflightBuilds int
 	// BuildWorkers is the Options.Workers value for served builds
 	// (0 = GOMAXPROCS).
@@ -241,12 +243,13 @@ type ServeOptions struct {
 	// builds. Nil keeps the library default of discarding everything.
 	Logger *slog.Logger
 	// Tenant, when non-empty, labels this service's metric series with
-	// tenant=<id> and its log records with the tenant id. Empty keeps
-	// the process-global unlabeled series — the single-tenant fast path.
+	// tenant=<id> and its log records with the tenant id. Empty records
+	// into the unlabeled series.
 	Tenant string
 	// Weight is the fair-share scheduler weight when the service shares
 	// a registry's build scheduler (≤ 0 and NaN mean 1; otherwise
-	// clamped into [0.01, 100]). Ignored on the legacy semaphore path.
+	// clamped into [0.01, 100]). A standalone service is its scheduler's
+	// only tenant, so there its weight changes nothing.
 	Weight float64
 	// QuotaPointsPerSec caps the tenant's sustained ingest rate with a
 	// token bucket; excess points shed with ErrQuotaExceeded. 0 disables
@@ -275,8 +278,9 @@ type ServeOptions struct {
 	// door in mcserve. Nil disables both, at zero per-request cost.
 	TraceStore *obs.TraceStore
 
-	// sched, when non-nil, replaces the per-service build semaphore with
-	// the registry's shared weighted-fair scheduler.
+	// sched is the registry's shared weighted-fair scheduler. Left nil,
+	// NewIngestService gives the service a scheduler of its own with
+	// MaxInflightBuilds slots and no queue.
 	sched *buildScheduler
 	// clock overrides time.Now for the quota bucket (tests and the
 	// registry's deterministic quota tests).
@@ -456,9 +460,8 @@ type IngestService struct {
 	log  *slog.Logger
 	met  serviceMetrics
 
-	queue    chan [][]float64
-	buildSem chan struct{}
-	quota    *tokenBucket // nil when no ingest quota is configured
+	queue chan [][]float64
+	quota *tokenBucket // nil when no ingest quota is configured
 
 	base      *stream.Summary // restored snapshot, read-only (nil = fresh)
 	restoredN int
@@ -563,17 +566,18 @@ func NewIngestService(opts ServeOptions) (*IngestService, error) {
 		logger = obs.Discard()
 	}
 	log := obs.Component(logger, "ingest-service")
-	met := defaultServiceMetrics()
 	if o.Tenant != "" {
 		log = log.With(slog.String("tenant", o.Tenant))
-		met = tenantServiceMetrics(o.Tenant)
 	}
+	if o.sched == nil {
+		o.sched = newBuildScheduler(o.MaxInflightBuilds, 0, 0, nil)
+	}
+	met := newServiceMetrics(o.Tenant)
 	s := &IngestService{
-		opts:     o,
-		log:      log,
-		met:      met,
-		queue:    make(chan [][]float64, o.QueueSize),
-		buildSem: make(chan struct{}, o.MaxInflightBuilds),
+		opts:  o,
+		log:   log,
+		met:   met,
+		queue: make(chan [][]float64, o.QueueSize),
 	}
 	if o.QuotaPointsPerSec > 0 {
 		s.quota = newTokenBucket(o.QuotaPointsPerSec, o.QuotaBurst, o.clock)
@@ -1192,8 +1196,10 @@ type serveKey struct {
 }
 
 // Coreset builds a certified ε-coreset of the stream seen so far, under
-// admission control: at most MaxInflightBuilds run concurrently and
-// excess requests shed immediately with ErrOverloaded. ctx — including
+// admission control: a standalone service runs at most
+// MaxInflightBuilds at once and sheds excess requests immediately with
+// ErrOverloaded; a registry tenant queues for the shared fair-share
+// scheduler and sheds only past its queue bound. ctx — including
 // its deadline — propagates into the whole verify-and-repair pipeline
 // via CoresetCtx. The returned report carries the durable-checkpoint
 // provenance of the stream state it was built from.
@@ -1202,7 +1208,7 @@ type serveKey struct {
 // (stream position, quantized ε, algorithm) and concurrent identical
 // requests share one underlying build; cached results (marked
 // Report.CacheHit, with fresh checkpoint provenance) bypass admission
-// control entirely — only the single underlying build takes a semaphore
+// control entirely — only the single underlying build takes a build
 // slot.
 //
 // The build refines the sketch's champion points with the batch
@@ -1351,41 +1357,28 @@ func (s *IngestService) tryStale(ctx context.Context, eps float64, algo Algorith
 }
 
 // buildServed runs one uncached served build under admission control:
-// the registry's weighted-fair scheduler when the service belongs to
-// one (requests queue, bounded per tenant, and are granted in deficit
-// round-robin order), or the legacy fast-fail semaphore otherwise.
+// the registry's weighted-fair scheduler when the service belongs to one
+// (requests queue, bounded per tenant, and are granted in deficit
+// round-robin order), or the service's own queueless scheduler, which
+// sheds at once while every slot is held.
 func (s *IngestService) buildServed(ctx context.Context, eps float64, algo Algorithm) (*Coreset, error) {
-	if s.opts.sched != nil {
-		waitStart := time.Now()
-		bctx, grant, err := s.opts.sched.acquire(ctx, s.opts.Tenant, s.opts.Weight)
-		if err != nil {
-			if errors.Is(err, ErrOverloaded) {
-				s.shed.Add(1)
-				s.met.serveShed.Inc()
-				s.log.Debug("build request shed by fair-share scheduler",
-					slog.Any("error", err))
-			}
-			return nil, err
-		}
-		s.met.schedQueueWait.ObserveExemplar(time.Since(waitStart).Seconds(), obs.TraceIDOf(ctx))
-		s.met.schedGrants.Inc()
-		defer grant.release()
-		// The build runs under the grant's context so a watchdog kill
-		// cancels it mid-pipeline.
-		ctx = bctx
-		grant.startSpan.End()
-	} else {
-		select {
-		case s.buildSem <- struct{}{}:
-		default:
+	waitStart := time.Now()
+	bctx, grant, err := s.opts.sched.acquire(ctx, s.opts.Tenant, s.opts.Weight)
+	if err != nil {
+		if errors.Is(err, ErrOverloaded) {
 			s.shed.Add(1)
 			s.met.serveShed.Inc()
-			s.log.Debug("build request shed",
-				slog.Int("max_inflight", s.opts.MaxInflightBuilds))
-			return nil, fmt.Errorf("%w: %d builds in flight", ErrOverloaded, s.opts.MaxInflightBuilds)
+			s.log.Debug("build request shed", slog.Any("error", err))
 		}
-		defer func() { <-s.buildSem }()
+		return nil, err
 	}
+	s.met.schedQueueWait.ObserveExemplar(time.Since(waitStart).Seconds(), obs.TraceIDOf(ctx))
+	s.met.schedGrants.Inc()
+	defer grant.release()
+	// The build runs under the grant's context so a watchdog kill
+	// cancels it mid-pipeline.
+	ctx = bctx
+	grant.startSpan.End()
 	s.builds.Add(1)
 	s.met.serveBuilds.Inc()
 	buildStart := time.Now()

@@ -143,16 +143,31 @@ func TestServeWorkerPanicIsolation(t *testing.T) {
 	}
 }
 
+// TestServeAdmissionControl: a standalone service runs as the only
+// tenant of a queueless scheduler, so a build requested while its one
+// slot is held fails at once with ErrOverloaded. The cache is off so
+// the second request reaches admission instead of joining the first
+// build's singleflight.
 func TestServeAdmissionControl(t *testing.T) {
-	svc := newTestService(t, ServeOptions{MaxInflightBuilds: 1})
+	svc := newTestService(t, ServeOptions{MaxInflightBuilds: 1, BuildCache: -1})
 	defer svc.Kill()
 	if err := svc.Feed(servePoints(200, 3)...); err != nil {
 		t.Fatal(err)
 	}
 	drain(t, svc, 200)
 
-	// Occupy the only build slot, then demand another build.
-	svc.buildSem <- struct{}{}
+	// Occupy the only build slot with a hung build, then demand another.
+	entered := make(chan struct{})
+	unblock := make(chan struct{})
+	svc.buildHook = func(context.Context) { close(entered); <-unblock }
+	held := make(chan error, 1)
+	go func() {
+		_, err := svc.Coreset(context.Background(), 0.1, Auto)
+		held <- err
+	}()
+	<-entered
+	svc.buildHook = nil // the hung build already read it
+
 	_, err := svc.Coreset(context.Background(), 0.1, Auto)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("saturated builds: err = %v, want ErrOverloaded", err)
@@ -160,7 +175,10 @@ func TestServeAdmissionControl(t *testing.T) {
 	if svc.Stats().BuildsShed != 1 {
 		t.Fatalf("BuildsShed = %d, want 1", svc.Stats().BuildsShed)
 	}
-	<-svc.buildSem
+	close(unblock)
+	if err := <-held; err != nil {
+		t.Fatalf("held build: %v", err)
+	}
 	if _, err := svc.Coreset(context.Background(), 0.1, Auto); err != nil {
 		t.Fatalf("Coreset after slot freed: %v", err)
 	}

@@ -117,10 +117,6 @@ type TenantConfig struct {
 	IngestWorkers int
 	QueueSize     int
 	BuildCache    int
-	// SnapshotPath overrides the namespaced default of
-	// <SnapshotDir>/<ID>/stream.snap. Relevant only for migrating a
-	// pre-registry single-tenant snapshot into a registry.
-	SnapshotPath string
 }
 
 // RegistryOptions configures NewTenantRegistry. Dim is required; the
@@ -136,8 +132,7 @@ type RegistryOptions struct {
 	Seed int64
 	// SnapshotDir is the root under which each tenant gets its own
 	// directory (manifest + two-generation snapshot store). Empty
-	// disables durability for every tenant without a SnapshotPath
-	// override.
+	// disables durability for every tenant.
 	SnapshotDir string
 	// CheckpointInterval is the per-tenant automatic checkpoint period
 	// (default 10s; < 0 disables the loops).
@@ -169,9 +164,8 @@ type RegistryOptions struct {
 	// errors.
 	StaleServe *StaleServePolicy
 	// WAL opts every durable tenant into write-ahead-logged ingest
-	// (acknowledged == durable; see WALConfig). Tenants without a
-	// snapshot path — SnapshotDir empty and no per-tenant override —
-	// ignore it.
+	// (acknowledged == durable; see WALConfig). Without a SnapshotDir
+	// no tenant is durable, and the WAL is ignored.
 	WAL *WALConfig
 	// TraceStore, when non-nil, arms the tracing layer fleet-wide: each
 	// tenant's restore trace is retained there, and the registry's
@@ -513,17 +507,14 @@ func (r *TenantRegistry) resolve(cfg TenantConfig) TenantConfig {
 // r.tenants themselves.
 func (r *TenantRegistry) startTenant(cfg TenantConfig, createdAt time.Time, persist bool) (*Tenant, error) {
 	cfg = r.resolve(cfg)
-	var dir string
-	path := cfg.SnapshotPath
-	if path == "" && r.opts.SnapshotDir != "" {
+	var dir, path string
+	var walCfg *WALConfig
+	if r.opts.SnapshotDir != "" {
 		dir = filepath.Join(r.opts.SnapshotDir, cfg.ID)
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, err
 		}
 		path = filepath.Join(dir, snapshotFile)
-	}
-	var walCfg *WALConfig
-	if path != "" {
 		walCfg = r.opts.WAL
 	}
 	svc, err := NewIngestService(ServeOptions{
@@ -534,7 +525,6 @@ func (r *TenantRegistry) startTenant(cfg TenantConfig, createdAt time.Time, pers
 		CheckpointInterval: r.opts.CheckpointInterval,
 		IngestWorkers:      cfg.IngestWorkers,
 		QueueSize:          cfg.QueueSize,
-		MaxInflightBuilds:  r.opts.MaxInflightBuilds,
 		BuildWorkers:       r.opts.BuildWorkers,
 		BuildCache:         cfg.BuildCache,
 		Logger:             r.opts.Logger,
@@ -763,27 +753,8 @@ func (r *TenantRegistry) DeleteTenant(id string) error {
 	r.sched.evict(id, fmt.Errorf("%w: %q (deleted)", ErrTenantNotFound, id))
 	t.svc.Kill()
 	var rmErr error
-	switch {
-	case t.dir != "":
+	if t.dir != "" {
 		rmErr = os.RemoveAll(t.dir)
-	case t.cfg.SnapshotPath != "":
-		// Override path outside the registry dir: remove just the
-		// snapshot generations and the write-ahead log, not the
-		// surrounding directory.
-		for _, p := range []string{
-			t.cfg.SnapshotPath,
-			t.cfg.SnapshotPath + snapshot.PrevSuffix,
-			t.cfg.SnapshotPath + ".tmp",
-		} {
-			if err := os.Remove(p); err != nil && !errors.Is(err, os.ErrNotExist) {
-				rmErr = err
-			}
-		}
-		if r.opts.WAL != nil {
-			if err := wal.Remove(WALDir(t.cfg.SnapshotPath)); err != nil {
-				rmErr = err
-			}
-		}
 	}
 	mTenants.Add(-1)
 	r.log.Info("tenant deleted", slog.String("tenant", id))
