@@ -38,11 +38,13 @@ faults:
 # recovered coreset's directional loss stays within 2ε. The WAL leg
 # kills at randomized crash points (mid-append, post-append-pre-ack,
 # post-ack, post-truncation) and asserts zero acknowledged-point loss
-# with the recovered summary byte-identical to an uninterrupted run.
+# with the recovered summary byte-identical to an uninterrupted run. The
+# prefix leg checkpoints in a loop beside ingest and asserts every saved
+# generation holds exactly the first N points of the log.
 # Set MINCORE_CHAOS_SEED=n to replay one schedule.
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaosKillRestoreMatrix' -v .
-	$(GO) test -race -count=1 -run 'TestChaosWALCrashPoints|TestChaosWALGroupCommitBound' -v .
+	$(GO) test -race -count=1 -run 'TestChaosWALCrashPoints|TestChaosWALGroupCommitBound|TestChaosWALCheckpointPrefix' -v .
 
 # Write-ahead log: the unit/crash-point/recovery suite under the race
 # detector, a fuzz burst over the segment decoder (torn and hostile

@@ -35,7 +35,7 @@ const chaosEps = 0.05
 
 // chaosPoisonX marks a sacrificial duplicate point the panic hook blows
 // up on. Poison points are near the origin, strictly inside the ring
-// hull, so whether or not one lands in a shard before the panic fires,
+// hull, so whether or not one lands in the summary before the panic fires,
 // it can never become a champion — the summary stays exact.
 const chaosPoisonX = 1.0 / (1 << 20)
 
@@ -44,21 +44,26 @@ func chaosOptions(path string) ServeOptions {
 		Dim: 2, Eps: chaosEps, Seed: 7, // stream params fixed across restarts
 		SnapshotPath:       path,
 		CheckpointInterval: -1, // checkpoints driven by the chaos schedule
-		IngestWorkers:      2,
 		QueueSize:          64,
 	}
 }
 
-func TestChaosKillRestoreMatrix(t *testing.T) {
-	seeds := []int64{1, 2, 3, 4, 5}
-	if v := os.Getenv("MINCORE_CHAOS_SEED"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			t.Fatalf("bad MINCORE_CHAOS_SEED %q: %v", v, err)
-		}
-		seeds = []int64{n}
+// chaosSeeds is the seed matrix a chaos test loops over: 1..5, or the
+// one seed MINCORE_CHAOS_SEED names.
+func chaosSeeds(t *testing.T) []int64 {
+	v := os.Getenv("MINCORE_CHAOS_SEED")
+	if v == "" {
+		return []int64{1, 2, 3, 4, 5}
 	}
-	for _, seed := range seeds {
+	n, err := strconv.ParseInt(v, 10, 64)
+	if err != nil {
+		t.Fatalf("bad MINCORE_CHAOS_SEED %q: %v", v, err)
+	}
+	return []int64{n}
+}
+
+func TestChaosKillRestoreMatrix(t *testing.T) {
+	for _, seed := range chaosSeeds(t) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { chaosRun(t, seed) })
 	}
 }

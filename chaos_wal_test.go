@@ -21,7 +21,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strconv"
 	"testing"
 	"time"
 
@@ -29,15 +28,12 @@ import (
 	"mincore/internal/snapshot"
 )
 
-// walChaosOptions is chaosOptions plus a per-batch-synced WAL. A single
-// ingest worker keeps batch application order deterministic so the
-// byte-identity assertion is exact, not just champion-equivalent.
+// walChaosOptions is chaosOptions plus a per-batch-synced WAL.
 func walChaosOptions(dir string) ServeOptions {
 	return ServeOptions{
 		Dim: 2, Eps: chaosEps, Seed: 7,
 		SnapshotPath:       filepath.Join(dir, "stream.snap"),
 		CheckpointInterval: -1,
-		IngestWorkers:      1,
 		QueueSize:          64,
 		WAL: &WALConfig{
 			Sync:         WALSyncEveryBatch,
@@ -46,17 +42,12 @@ func walChaosOptions(dir string) ServeOptions {
 	}
 }
 
-// walSummaryBytes encodes the service's merged summary with a fixed
-// meta, so two services with identical stream state produce identical
-// bytes.
+// walSummaryBytes encodes the service's summary with a fixed meta, so
+// two services with identical stream state produce identical bytes.
 func walSummaryBytes(t *testing.T, svc *IngestService) []byte {
 	t.Helper()
-	sum, err := svc.mergedSummary()
-	if err != nil {
-		t.Fatalf("merged summary: %v", err)
-	}
 	var buf bytes.Buffer
-	if err := snapshot.Encode(&buf, sum, snapshot.Meta{}); err != nil {
+	if err := snapshot.Encode(&buf, svc.readSummary(), snapshot.Meta{}); err != nil {
 		t.Fatalf("encode summary: %v", err)
 	}
 	return buf.Bytes()
@@ -69,7 +60,6 @@ func walReferenceBytes(t *testing.T, pts []Point, n int) []byte {
 	ref, err := NewIngestService(ServeOptions{
 		Dim: 2, Eps: chaosEps, Seed: 7,
 		CheckpointInterval: -1,
-		IngestWorkers:      1,
 		QueueSize:          64,
 	})
 	if err != nil {
@@ -86,15 +76,7 @@ func walReferenceBytes(t *testing.T, pts []Point, n int) []byte {
 }
 
 func TestChaosWALCrashPoints(t *testing.T) {
-	seeds := []int64{1, 2, 3, 4, 5}
-	if v := os.Getenv("MINCORE_CHAOS_SEED"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			t.Fatalf("bad MINCORE_CHAOS_SEED %q: %v", v, err)
-		}
-		seeds = []int64{n}
-	}
-	for _, seed := range seeds {
+	for _, seed := range chaosSeeds(t) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { walCrashRun(t, seed) })
 	}
 }
@@ -217,6 +199,104 @@ func mustSummary(t *testing.T, svc *IngestService) *StreamSummary {
 		t.Fatalf("summary: %v", err)
 	}
 	return ss
+}
+
+// TestChaosWALCheckpointPrefix: a checkpoint racing ingest saves a
+// prefix of the log. Each round feeds acknowledged batches while
+// another goroutine checkpoints (and so truncates the log) a random
+// number of times, then kills the service as soon as the last of those
+// checkpoints returns, so the newest generation is one taken mid-ingest.
+// That generation must be byte-identical to an uninterrupted run over
+// its first N points, and the restart must restore exactly the
+// acknowledged stream. Applying a batch is slowed (as with a
+// production-sized direction net) so batches queue behind the ingest
+// goroutine, and the stream's radius grows with its position, so every
+// batch moves champions: a snapshot that counted a later batch while
+// an earlier one was still unapplied would show.
+func TestChaosWALCheckpointPrefix(t *testing.T) {
+	for _, seed := range chaosSeeds(t) {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { walPrefixRun(t, seed) })
+	}
+}
+
+func walPrefixRun(t *testing.T, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	pts := servePoints(3000, 6000+seed)
+	for i, p := range pts {
+		pts[i] = Point{p[0] * float64(1+i), p[1] * float64(1+i)}
+	}
+	dir := t.TempDir()
+	acked := 0
+	for round := 0; ; round++ {
+		svc, err := NewIngestService(walChaosOptions(dir))
+		if err != nil {
+			t.Fatalf("round %d: restart: %v", round, err)
+		}
+		svc.panicHook = func([]float64) { time.Sleep(time.Microsecond) }
+		restored := svc.RestoredPoints()
+		if restored < acked {
+			t.Fatalf("round %d: restored position %d lost acknowledged points (acked %d)",
+				round, restored, acked)
+		}
+		if got, want := walSummaryBytes(t, svc), walReferenceBytes(t, pts, restored); !bytes.Equal(got, want) {
+			t.Fatalf("round %d: recovered summary at position %d differs from uninterrupted run",
+				round, restored)
+		}
+		if restored == len(pts) {
+			svc.Kill()
+			return
+		}
+		acked = restored
+
+		ckpts := 1 + rng.Intn(8)
+		ckptDone := make(chan error, 1)
+		go func() {
+			for i := 0; i < ckpts; i++ {
+				if err := svc.Checkpoint(); err != nil {
+					ckptDone <- err
+					return
+				}
+			}
+			ckptDone <- nil
+		}()
+		var ckptErr error
+		ckptsOver := false
+		for acked < len(pts) && !ckptsOver {
+			n := min(1+rng.Intn(60), len(pts)-acked)
+			err := svc.Feed(pts[acked : acked+n]...)
+			if errors.Is(err, ErrOverloaded) {
+				time.Sleep(time.Millisecond)
+				continue
+			}
+			if err != nil {
+				t.Fatalf("round %d: feed at %d: %v", round, acked, err)
+			}
+			acked += n
+			select {
+			case ckptErr = <-ckptDone:
+				ckptsOver = true
+			default:
+			}
+		}
+		if !ckptsOver {
+			ckptErr = <-ckptDone
+		}
+		svc.Kill()
+		if ckptErr != nil {
+			t.Fatalf("round %d: checkpoint: %v", round, ckptErr)
+		}
+		snap, _, err := snapshot.NewStore(walChaosOptions(dir).SnapshotPath).Load()
+		if err != nil {
+			t.Fatalf("round %d: load snapshot: %v", round, err)
+		}
+		var buf bytes.Buffer
+		if err := snapshot.Encode(&buf, snap, snapshot.Meta{}); err != nil {
+			t.Fatalf("round %d: encode snapshot: %v", round, err)
+		}
+		if !bytes.Equal(buf.Bytes(), walReferenceBytes(t, pts, snap.N())) {
+			t.Fatalf("round %d: snapshot at position %d is not the first %d points", round, snap.N(), snap.N())
+		}
+	}
 }
 
 // TestChaosWALGroupCommitBound crashes a service running with relaxed

@@ -159,6 +159,18 @@ func TestTenantLifecycleHTTP(t *testing.T) {
 	wantEnvelope(t, resp, body, http.StatusNotFound, "tenant_not_found")
 }
 
+// TestCreateTenantIgnoresIngestWorkers: a create request that still
+// names the removed ingest_workers setting succeeds; the field is
+// ignored.
+func TestCreateTenantIgnoresIngestWorkers(t *testing.T) {
+	ts, _ := newTestServer(t, mincore.RegistryOptions{Dim: 2, Eps: 0.1, Seed: 5})
+	resp, body := doJSON(t, ts, "POST", "/v1/tenants",
+		map[string]any{"id": "legacy", "ingest_workers": 2})
+	if resp.StatusCode != http.StatusCreated || body["id"] != "legacy" {
+		t.Fatalf("create: status %d, body %v", resp.StatusCode, body)
+	}
+}
+
 // TestTenantErrorEnvelope exercises the documented error-code set and
 // asserts every failure renders the one envelope shape.
 func TestTenantErrorEnvelope(t *testing.T) {

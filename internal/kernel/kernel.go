@@ -26,7 +26,7 @@ type Options struct {
 	// for elongated datasets).
 	Alpha float64
 	// ANNEps is the (1+ε) slack of the approximate nearest-neighbor
-	// queries (0 = exact NN, still through the kd-tree).
+	// queries (0 selects the default 0.01).
 	ANNEps float64
 	Seed   int64
 }
@@ -125,11 +125,11 @@ func DirectionGrid(pts []geom.Vector, m int, seed int64) ([]int, error) {
 	}
 	d := pts[0].Dim()
 	dirs := sphere.GridDirections(m, d, seed)
-	tree := mips.NewKDTree(pts)
+	idx := make([]int, len(dirs))
+	geom.NewRows(pts).MaxDots(dirs, idx, make([]float64, len(dirs)))
 	seen := make(map[int]bool)
 	var out []int
-	for _, u := range dirs {
-		i, _ := tree.MaxDot(u)
+	for _, i := range idx {
 		if !seen[i] {
 			seen[i] = true
 			out = append(out, i)

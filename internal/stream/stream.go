@@ -171,14 +171,11 @@ func (s *Summary) Merge(other *Summary) error {
 	if other == s {
 		return fmt.Errorf("%w: summary merged into itself", ErrBadMerge)
 	}
-	if s.d != other.d {
-		return fmt.Errorf("%w: dimension %d vs %d", ErrIncompatible, s.d, other.d)
+	if err := s.CheckParams(other.m, other.d, other.seed); err != nil {
+		return err
 	}
-	if s.m != other.m || len(s.dirs) != len(other.dirs) {
-		return fmt.Errorf("%w: direction count %d vs %d", ErrIncompatible, s.m, other.m)
-	}
-	if s.seed != other.seed {
-		return fmt.Errorf("%w: seed %d vs %d", ErrIncompatible, s.seed, other.seed)
+	if len(s.dirs) != len(other.dirs) {
+		return fmt.Errorf("%w: direction count %d vs %d", ErrIncompatible, len(s.dirs), len(other.dirs))
 	}
 	for k := range s.dirs {
 		if !geom.Equal(s.dirs[k], other.dirs[k]) {
@@ -196,6 +193,48 @@ func (s *Summary) Merge(other *Summary) error {
 	}
 	s.n += other.n
 	return nil
+}
+
+// CheckParams returns an ErrIncompatible error unless s was built by
+// NewSummary(m, d, seed) — the parameter check Merge makes, without
+// building a direction net to merge into.
+func (s *Summary) CheckParams(m, d int, seed int64) error {
+	if m < 2*d {
+		m = 2 * d
+	}
+	switch {
+	case s.d != d:
+		return fmt.Errorf("%w: dimension %d vs %d", ErrIncompatible, s.d, d)
+	case s.m != m:
+		return fmt.Errorf("%w: direction count %d vs %d", ErrIncompatible, s.m, m)
+	case s.seed != seed:
+		return fmt.Errorf("%w: seed %d vs %d", ErrIncompatible, s.seed, seed)
+	}
+	return nil
+}
+
+// Clone returns a summary of the same stream that evolves independently
+// of s. It shares the direction net and the champion points with s:
+// Feed, Merge and FromState only ever replace a slot's champion, never
+// write into one, so copying the two slot arrays is enough. A caller
+// that hands champions to code that may write into them wants
+// DeepClone.
+func (s *Summary) Clone() *Summary {
+	c := *s
+	c.best = append([]geom.Vector(nil), s.best...)
+	c.bestV = append([]float64(nil), s.bestV...)
+	return &c
+}
+
+// DeepClone is Clone with private copies of the champion points.
+func (s *Summary) DeepClone() *Summary {
+	c := s.Clone()
+	for k, p := range c.best {
+		if p != nil {
+			c.best[k] = p.Clone()
+		}
+	}
+	return c
 }
 
 // Omega returns the summary's maximum inner product for u — the

@@ -21,13 +21,14 @@ import (
 	"mincore/internal/wal"
 )
 
-// The supervised long-running ingest mode. An IngestService owns a
-// sharded streaming summary (one shard per ingest worker — summaries are
-// mergeable, so shards compose exactly at read time), makes it durable
-// through periodic crash-safe snapshots, and serves certified coreset
-// builds from it under admission control. The design goals, in order:
+// The supervised long-running ingest mode. An IngestService owns one
+// streaming summary, fed by one ingest goroutine that applies batches in
+// queue order (so the summary always holds a prefix of the accepted
+// stream), makes it durable through periodic crash-safe snapshots, and
+// serves certified coreset builds from it under admission control. The
+// design goals, in order:
 //
-//   - never die: worker panics are converted into typed ErrWorkerPanic
+//   - never die: ingest panics are converted into typed ErrWorkerPanic
 //     values and counted; the service degrades (that batch is lost until
 //     replayed) but keeps ingesting,
 //   - never lose more than the checkpoint window: snapshots are written
@@ -53,9 +54,10 @@ var (
 	// in-flight build limit is full. The caller should back off and
 	// retry; nothing was ingested or built.
 	ErrOverloaded = errors.New("mincore: service overloaded")
-	// ErrWorkerPanic marks a panic recovered inside an ingest worker
-	// (wrapped by *WorkerPanicError). The service stays alive; the batch
-	// being ingested when the panic fired may be partially applied.
+	// ErrWorkerPanic marks a panic recovered inside the ingest goroutine
+	// or the checkpoint loop (wrapped by *WorkerPanicError). The service
+	// stays alive; the batch being ingested when the panic fired may be
+	// partially applied.
 	ErrWorkerPanic = errors.New("mincore: ingest worker panicked")
 	// ErrServiceClosed is returned by every operation after Close or
 	// Kill.
@@ -172,10 +174,11 @@ func (c *WALConfig) walPolicy() wal.SyncPolicy {
 	}
 }
 
-// WorkerPanicError carries a panic recovered inside an ingest worker.
-// It unwraps to ErrWorkerPanic.
+// WorkerPanicError carries a panic recovered inside the ingest goroutine
+// or the checkpoint loop. It unwraps to ErrWorkerPanic.
 type WorkerPanicError struct {
-	// Worker is the index of the panicking worker.
+	// Worker is 0 for the ingest goroutine and -1 for the checkpoint
+	// loop.
 	Worker int
 	// Value is the recovered panic value.
 	Value any
@@ -217,11 +220,8 @@ type ServeOptions struct {
 	// CheckpointBackoffMax caps the exponential backoff applied to the
 	// checkpoint period while saves fail (default 16× the interval).
 	CheckpointBackoffMax time.Duration
-	// IngestWorkers is the number of ingest goroutines, each owning one
-	// summary shard (default 1).
-	IngestWorkers int
-	// QueueSize bounds the batch queue feeding the workers; a full
-	// queue sheds with ErrOverloaded (default 256 batches).
+	// QueueSize bounds the batch queue feeding the ingest goroutine; a
+	// full queue sheds with ErrOverloaded (default 256 batches).
 	QueueSize int
 	// MaxInflightBuilds bounds a standalone service's concurrent Coreset
 	// builds; a request that finds every slot held sheds at once with
@@ -313,9 +313,6 @@ func (o *ServeOptions) withDefaults() (ServeOptions, error) {
 	if v.CheckpointBackoffMax <= 0 {
 		v.CheckpointBackoffMax = 16 * v.CheckpointInterval
 	}
-	if v.IngestWorkers < 1 {
-		v.IngestWorkers = 1
-	}
 	if v.QueueSize < 1 {
 		v.QueueSize = 256
 	}
@@ -386,8 +383,8 @@ func (tb *tokenBucket) refund(n float64) {
 type ServiceStats struct {
 	// Tenant is the owning tenant id ("" for a standalone service).
 	Tenant string
-	// Ingested counts points applied to a shard; Rejected counts points
-	// shed with ErrOverloaded; Invalid counts points rejected with
+	// Ingested counts points applied to the summary; Rejected counts
+	// points shed with ErrOverloaded; Invalid counts points rejected with
 	// ErrInvalidPoint; QuotaShed counts points shed with
 	// ErrQuotaExceeded.
 	Ingested, Rejected, Invalid, QuotaShed int64
@@ -443,13 +440,6 @@ type ServiceStats struct {
 	LastError error
 }
 
-// shard is one worker's private summary; the lock serializes the
-// owner's writes with merge-time reads.
-type shard struct {
-	mu  sync.Mutex
-	sum *stream.Summary
-}
-
 // IngestService is a supervised, durable, resource-bounded ingest loop
 // over the streaming summary. Create with NewIngestService, feed with
 // Feed, query with Coreset/Summary, and stop with Close (graceful:
@@ -463,17 +453,22 @@ type IngestService struct {
 	queue chan [][]float64
 	quota *tokenBucket // nil when no ingest quota is configured
 
-	base      *stream.Summary // restored snapshot, read-only (nil = fresh)
+	// sum is the service's one stream summary: the restored snapshot and
+	// WAL replay land in it, then the ingest goroutine applies batches to
+	// it in queue order. sumMu serializes those writes with the read
+	// copies builds and checkpoints take (readSummary).
+	sumMu     sync.Mutex
+	sum       *stream.Summary
 	restoredN int
-	replayedN int // points replayed from the WAL into base at startup
-	shards    []*shard
+	replayedN int             // points replayed from the WAL at startup
 	store     *snapshot.Store // nil when durability is disabled
 
 	// wal, when non-nil, is the durable-ingest write-ahead log. walMu
 	// serializes every log operation AND the queue send that follows a
 	// successful append, so the append order and the queue order agree
 	// and a post-append queue send can never block (capacity is checked
-	// under the same lock).
+	// under the same lock). With one goroutine applying the queue in
+	// order, every summary position is a log prefix.
 	walMu       sync.Mutex
 	wal         *wal.Log
 	walFailed   atomic.Bool // last WAL write failed; Feed refuses to ack
@@ -482,12 +477,14 @@ type IngestService struct {
 
 	ctx      context.Context
 	cancel   context.CancelFunc
-	workerWG sync.WaitGroup
+	ingestWG sync.WaitGroup
 	ckptWG   sync.WaitGroup
 
 	feedMu sync.RWMutex // closed+queue lifecycle vs concurrent Feed
 	closed bool
 
+	// ckptMu serializes checkpoints (so saved positions only grow) and
+	// guards their provenance.
 	ckptMu       sync.Mutex
 	lastCkpt     snapshot.Meta
 	lastCkptN    int
@@ -512,8 +509,9 @@ type IngestService struct {
 	stale       map[staleKey]*staleEntry
 	staleServed atomic.Int64
 
-	// panicHook, when set (tests only), runs inside the worker for every
-	// point before it is fed — the injection point for supervision tests.
+	// panicHook, when set (tests only), runs inside the ingest goroutine
+	// for every point before it is fed — the injection point for
+	// supervision tests.
 	panicHook func([]float64)
 	// buildHook, when set (tests only), runs inside buildServed after the
 	// slot is granted, under the grant's context — the injection point for
@@ -551,7 +549,7 @@ type errBox struct{ err error }
 
 // NewIngestService validates opts, restores the newest decodable
 // snapshot generation when SnapshotPath names one (falling back a
-// generation on a torn write), and starts the ingest workers and the
+// generation on a torn write), and starts the ingest goroutine and the
 // checkpoint loop. A snapshot written with different stream parameters
 // returns ErrSnapshotIncompatible; a present-but-unusable snapshot pair
 // returns the loader's typed error so the operator decides rather than
@@ -605,13 +603,12 @@ func NewIngestService(opts ServeOptions) (*IngestService, error) {
 		case err == nil:
 			loadSpan.SetAttr("generation", strconv.FormatUint(meta.Generation, 10))
 			loadSpan.SetAttr("points", strconv.Itoa(sum.N()))
-			// The restored summary must merge with live shards: probe
-			// against a fresh summary of the configured parameters.
-			probe := stream.NewSummary(o.Directions, o.Dim, o.Seed)
-			if merr := probe.Merge(sum); merr != nil {
-				return nil, fmt.Errorf("%w: %v", ErrSnapshotIncompatible, merr)
+			// The restored summary becomes the live one, so it must have
+			// the configured parameters.
+			if perr := sum.CheckParams(o.Directions, o.Dim, o.Seed); perr != nil {
+				return nil, fmt.Errorf("%w: %v", ErrSnapshotIncompatible, perr)
 			}
-			s.base = sum
+			s.sum = sum
 			s.restoredN = sum.N()
 			s.ckptMu.Lock()
 			s.lastCkpt = meta
@@ -629,20 +626,17 @@ func NewIngestService(opts ServeOptions) (*IngestService, error) {
 		}
 		loadSpan.End()
 	}
+	if s.sum == nil {
+		s.sum = stream.NewSummary(o.Directions, o.Dim, o.Seed)
+	}
 	if o.WAL != nil {
 		if err := s.openWAL(); err != nil {
 			return nil, err
 		}
 	}
 
-	s.shards = make([]*shard, o.IngestWorkers)
-	for i := range s.shards {
-		s.shards[i] = &shard{sum: stream.NewSummary(o.Directions, o.Dim, o.Seed)}
-	}
-	for i := range s.shards {
-		s.workerWG.Add(1)
-		go s.worker(i)
-	}
+	s.ingestWG.Add(1)
+	go s.ingest()
 	if s.store != nil && o.CheckpointInterval > 0 {
 		s.ckptWG.Add(1)
 		go s.checkpointLoop()
@@ -671,7 +665,7 @@ func WALDir(snapshotPath string) string {
 
 // openWAL opens (or creates) the service's write-ahead log, repairs any
 // torn tail, replays records past the restored snapshot position into
-// the base summary, and aligns the log with the restored position. The
+// the summary, and aligns the log with the restored position. The
 // restored stream is exactly what was durable: snapshot ∪ replayable
 // log suffix — byte-identical to an uninterrupted run because replay is
 // idempotent by sequence number.
@@ -696,24 +690,18 @@ func (s *IngestService) openWAL() error {
 	}
 	afterSeq := uint64(s.restoredN)
 	if l.LastSeq() > afterSeq {
-		if s.base == nil {
-			if l.OldestSeq() > 0 {
-				l.Close()
-				return fmt.Errorf("%w: no snapshot but the log starts at seq %d — points 0..%d are unrecoverable",
-					wal.ErrBadLog, l.OldestSeq(), l.OldestSeq())
-			}
-			s.base = stream.NewSummary(o.Directions, o.Dim, o.Seed)
-		} else if oldest := l.OldestSeq(); oldest > afterSeq {
+		if oldest := l.OldestSeq(); oldest > afterSeq {
 			// The restore landed on a generation older than the log's
-			// oldest record — e.g. a torn current generation fell back
-			// to ".prev" after a checkpoint had already truncated the
-			// log through the newer position. Points afterSeq..oldest
-			// were acknowledged but exist in neither half of the durable
-			// pair; replaying across the hole would silently lose them
-			// while reporting the log's end as the restored position, so
-			// producers would never re-send the gap. Fail as ErrBadLog:
-			// the recovery ladder drops the log and restores to the
-			// snapshot position, and producers replay from there.
+			// oldest record (or on no snapshot at all) — e.g. a torn
+			// current generation fell back to ".prev" after a checkpoint
+			// had already truncated the log through the newer position.
+			// Points afterSeq..oldest were acknowledged but exist in
+			// neither half of the durable pair; replaying across the hole
+			// would silently lose them while reporting the log's end as
+			// the restored position, so producers would never re-send the
+			// gap. Fail as ErrBadLog: the recovery ladder drops the log
+			// and restores to the snapshot position, and producers replay
+			// from there.
 			l.Close()
 			return fmt.Errorf("%w: snapshot restored position %d but the log starts at seq %d — acknowledged points %d..%d are unrecoverable from the log",
 				wal.ErrBadLog, afterSeq, oldest, afterSeq, oldest)
@@ -721,7 +709,7 @@ func (s *IngestService) openWAL() error {
 		replaySpan := s.restoreRT.StartChild("wal-replay")
 		delivered, pos, err := l.Replay(afterSeq, func(batch [][]float64) error {
 			for _, p := range batch {
-				if ferr := s.base.Feed(p); ferr != nil {
+				if ferr := s.sum.Feed(p); ferr != nil {
 					return ferr
 				}
 			}
@@ -936,11 +924,11 @@ func validatePoint(p Point, d, i int) error {
 	return nil
 }
 
-// worker is one supervised ingest goroutine: it applies batches to its
-// own shard and converts panics into typed, counted errors instead of
-// letting them tear the process down.
-func (s *IngestService) worker(i int) {
-	defer s.workerWG.Done()
+// ingest is the supervised ingest goroutine: it applies batches to the
+// summary in queue order and converts panics into typed, counted errors
+// instead of letting them tear the process down.
+func (s *IngestService) ingest() {
+	defer s.ingestWG.Done()
 	for {
 		select {
 		case <-s.ctx.Done():
@@ -949,40 +937,38 @@ func (s *IngestService) worker(i int) {
 			if !ok {
 				return
 			}
-			s.ingestBatch(i, batch)
+			s.ingestBatch(batch)
 			s.met.queueDepth.Set(int64(len(s.queue)))
 		}
 	}
 }
 
-// ingestBatch applies one batch under the shard lock, recovering any
-// panic into a *WorkerPanicError. The shard summary stays valid after a
-// panic — champion slots are monotone, so a partially applied point can
-// only strengthen the sketch — but the rest of the batch is dropped and
+// ingestBatch applies one batch under the summary lock, recovering any
+// panic into a *WorkerPanicError. The summary stays valid after a panic
+// — champion slots are monotone, so a partially applied point can only
+// strengthen the sketch — but the rest of the batch is dropped and
 // should be replayed by the producer.
-func (s *IngestService) ingestBatch(i int, batch [][]float64) {
+func (s *IngestService) ingestBatch(batch [][]float64) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics.Add(1)
 			s.met.workerPanics.Inc()
-			pe := &WorkerPanicError{Worker: i, Value: r, Stack: debug.Stack()}
+			pe := &WorkerPanicError{Value: r, Stack: debug.Stack()}
 			s.lastErr.Store(&errBox{err: pe})
-			s.log.Error("ingest worker panic recovered; batch dropped",
-				slog.Int("worker", i),
+			s.log.Error("ingest panic recovered; batch dropped",
 				slog.Any("panic", r),
 				slog.Int("batch_points", len(batch)))
 		}
 	}()
-	sh := s.shards[i]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	s.sumMu.Lock()
+	defer s.sumMu.Unlock()
 	for _, p := range batch {
 		if s.panicHook != nil {
 			s.panicHook(p)
 		}
-		if err := sh.sum.Feed(p); err != nil {
+		if err := s.sum.Feed(p); err != nil {
 			// Feed pre-validated the batch; a rejection here means the
-			// point mutated in flight — count it, keep the shard sound.
+			// point mutated in flight — count it, keep the summary sound.
 			s.invalid.Add(1)
 			s.met.ingestInvalid.Inc()
 			continue
@@ -992,47 +978,30 @@ func (s *IngestService) ingestBatch(i int, batch [][]float64) {
 	}
 }
 
-// mergedSummary composes the restored base and every live shard into a
-// fresh summary — the mergeable-coreset property makes the composition
-// exact regardless of how points were routed across shards.
-func (s *IngestService) mergedSummary() (*stream.Summary, error) {
-	out := stream.NewSummary(s.opts.Directions, s.opts.Dim, s.opts.Seed)
-	if s.base != nil {
-		if err := out.Merge(s.base); err != nil {
-			return nil, err
-		}
-	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		err := out.Merge(sh.sum)
-		sh.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+// readSummary returns a copy of the summary taken between two batches.
+// It shares the live summary's champion points, which nothing writes
+// into, so it must not leave the package.
+func (s *IngestService) readSummary() *stream.Summary {
+	s.sumMu.Lock()
+	defer s.sumMu.Unlock()
+	return s.sum.Clone()
 }
 
-// Summary returns the current merged stream summary as a StreamSummary
-// (a private copy; feeding it does not affect the service).
+// Summary returns the current stream summary as a StreamSummary (a
+// private copy: feeding it, or writing into its points, does not affect
+// the service). The error is always nil.
 func (s *IngestService) Summary() (*StreamSummary, error) {
-	sum, err := s.mergedSummary()
-	if err != nil {
-		return nil, err
-	}
-	return &StreamSummary{s: sum}, nil
+	s.sumMu.Lock()
+	defer s.sumMu.Unlock()
+	return &StreamSummary{s: s.sum.DeepClone()}, nil
 }
 
 // StreamN returns the total stream position: points restored from the
-// snapshot plus points ingested since.
+// snapshot and the write-ahead log plus points ingested since.
 func (s *IngestService) StreamN() int {
-	n := s.restoredN
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += sh.sum.N()
-		sh.mu.Unlock()
-	}
-	return n
+	s.sumMu.Lock()
+	defer s.sumMu.Unlock()
+	return s.sum.N()
 }
 
 // RestoredPoints returns the stream position recovered at startup — the
@@ -1050,7 +1019,7 @@ func (s *IngestService) ReplayedPoints() int { return s.replayedN }
 // clears it.
 func (s *IngestService) StorageDegraded() bool { return s.walFailed.Load() }
 
-// Checkpoint writes the current merged summary as the next durable
+// Checkpoint writes the current summary as the next durable
 // generation. It is safe to call concurrently with ingestion and with
 // the automatic checkpoint loop. Returns nil when durability is
 // disabled.
@@ -1078,12 +1047,12 @@ func (s *IngestService) CheckpointCtx(ctx context.Context) error {
 
 func (s *IngestService) checkpointSave(span *obs.Span) error {
 	start := time.Now()
-	sum, err := s.mergedSummary()
-	if err != nil {
-		return err
-	}
+	// The copy is taken under ckptMu, so concurrent checkpoints save
+	// non-decreasing positions and never truncate the log past a newer
+	// generation's replay start.
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
+	sum := s.readSummary()
 	meta, err := s.store.Save(sum)
 	if err != nil {
 		s.ckptFailures++
@@ -1161,7 +1130,7 @@ func (s *IngestService) checkpointLoop() {
 }
 
 // supervisedCheckpoint isolates panics out of the checkpoint loop the
-// same way ingestBatch does for workers.
+// same way ingestBatch does for the ingest goroutine.
 func (s *IngestService) supervisedCheckpoint() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -1391,10 +1360,7 @@ func (s *IngestService) buildServed(ctx context.Context, eps float64, algo Algor
 	if s.buildHook != nil {
 		s.buildHook(ctx)
 	}
-	sum, err := s.mergedSummary()
-	if err != nil {
-		return nil, err
-	}
+	sum := s.readSummary()
 	champs := sum.Coreset()
 	if len(champs) == 0 {
 		return nil, fmt.Errorf("%w: no points ingested yet", ErrEmptyInput)
@@ -1509,7 +1475,7 @@ func (s *IngestService) Stats() ServiceStats {
 }
 
 // Close shuts the service down gracefully: no new feeds or builds are
-// accepted, queued batches are drained into the shards, and a final
+// accepted, queued batches are drained into the summary, and a final
 // checkpoint is written (its error is returned). Safe to call once;
 // later calls return ErrServiceClosed.
 func (s *IngestService) Close() error {
@@ -1522,7 +1488,7 @@ func (s *IngestService) Close() error {
 	close(s.queue)
 	s.feedMu.Unlock()
 
-	s.workerWG.Wait() // drain the queue
+	s.ingestWG.Wait() // drain the queue
 	s.cancel()        // stop the checkpoint loop
 	s.ckptWG.Wait()
 	err := s.Checkpoint()
@@ -1552,7 +1518,7 @@ func (s *IngestService) Kill() {
 	// The queue channel is abandoned, not closed: Feed callers racing
 	// Kill see the closed flag first, and unread batches become garbage.
 	s.cancel()
-	s.workerWG.Wait()
+	s.ingestWG.Wait()
 	s.ckptWG.Wait()
 	if s.wal != nil {
 		// Abandon, not Close: no final fsync, so records past the last

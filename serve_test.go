@@ -1,11 +1,13 @@
 package mincore
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -39,7 +41,7 @@ func newTestService(t *testing.T, opts ServeOptions) *IngestService {
 	return svc
 }
 
-// drain waits until every fed point has been applied to a shard.
+// drain waits until every fed point has been applied to the summary.
 func drain(t *testing.T, svc *IngestService, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -52,7 +54,7 @@ func drain(t *testing.T, svc *IngestService, want int64) {
 }
 
 func TestServeIngestAndCoreset(t *testing.T) {
-	svc := newTestService(t, ServeOptions{IngestWorkers: 3, Seed: 5})
+	svc := newTestService(t, ServeOptions{Seed: 5})
 	defer svc.Kill()
 
 	pts := servePoints(2000, 9)
@@ -79,6 +81,46 @@ func TestServeIngestAndCoreset(t *testing.T) {
 	}
 }
 
+// TestServeSummaryDoesNotAlias: Summary hands out a private copy.
+// Writing into its coreset points changes neither a later Summary nor
+// the next served build, which read the live sketch.
+func TestServeSummaryDoesNotAlias(t *testing.T) {
+	svc := newTestService(t, ServeOptions{Seed: 5, BuildCache: -1})
+	defer svc.Kill()
+	if err := svc.Feed(servePoints(1000, 13)...); err != nil {
+		t.Fatal(err)
+	}
+	drain(t, svc, 1000)
+	encode := func(ss *StreamSummary) []byte {
+		var buf bytes.Buffer
+		if err := ss.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	before := encode(mustSummary(t, svc))
+	q0, err := svc.Coreset(context.Background(), 0.1, Auto)
+	if err != nil {
+		t.Fatalf("Coreset: %v", err)
+	}
+
+	for _, p := range mustSummary(t, svc).Coreset() {
+		for j := range p {
+			p[j] = 1e6
+		}
+	}
+	if !bytes.Equal(encode(mustSummary(t, svc)), before) {
+		t.Fatal("writing into Summary's points changed the live sketch")
+	}
+	q1, err := svc.Coreset(context.Background(), 0.1, Auto)
+	if err != nil {
+		t.Fatalf("Coreset after the write: %v", err)
+	}
+	if !reflect.DeepEqual(q1.Points, q0.Points) {
+		t.Fatal("writing into Summary's points changed the next served build")
+	}
+}
+
 func TestServeFeedValidation(t *testing.T) {
 	svc := newTestService(t, ServeOptions{})
 	defer svc.Kill()
@@ -100,7 +142,7 @@ func TestServeFeedValidation(t *testing.T) {
 }
 
 func TestServeWorkerPanicIsolation(t *testing.T) {
-	svc := newTestService(t, ServeOptions{IngestWorkers: 2})
+	svc := newTestService(t, ServeOptions{})
 	defer svc.Kill()
 	svc.panicHook = func(p []float64) {
 		if p[0] == 666 {
@@ -185,7 +227,7 @@ func TestServeAdmissionControl(t *testing.T) {
 }
 
 func TestServeQueueBackpressure(t *testing.T) {
-	svc := newTestService(t, ServeOptions{IngestWorkers: 1, QueueSize: 2})
+	svc := newTestService(t, ServeOptions{QueueSize: 2})
 	block := make(chan struct{})
 	// Cleanups run LIFO: unblock the worker before Kill waits for it.
 	t.Cleanup(svc.Kill)
@@ -238,7 +280,7 @@ func TestServeCheckpointRestore(t *testing.T) {
 	path := filepath.Join(dir, "stream.snap")
 	pts := servePoints(1500, 17)
 
-	svc := newTestService(t, ServeOptions{SnapshotPath: path, Seed: 2, IngestWorkers: 2})
+	svc := newTestService(t, ServeOptions{SnapshotPath: path, Seed: 2})
 	if err := svc.Feed(pts[:1000]...); err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +296,7 @@ func TestServeCheckpointRestore(t *testing.T) {
 	}
 
 	// Restart: recover, then replay the tail from the reported offset.
-	svc2 := newTestService(t, ServeOptions{SnapshotPath: path, Seed: 2, IngestWorkers: 2})
+	svc2 := newTestService(t, ServeOptions{SnapshotPath: path, Seed: 2})
 	defer svc2.Kill()
 	if got := svc2.RestoredPoints(); got != 1000 {
 		t.Fatalf("RestoredPoints = %d, want 1000", got)
@@ -373,7 +415,6 @@ func TestServeRequiresDim(t *testing.T) {
 func TestServeQuotaNotChargedOnShed(t *testing.T) {
 	frozen := time.Unix(1000, 0)
 	svc := newTestService(t, ServeOptions{
-		IngestWorkers:     1,
 		QueueSize:         1,
 		QuotaPointsPerSec: 1,
 		QuotaBurst:        8,

@@ -319,6 +319,58 @@ func TestTenantRegistryRestore(t *testing.T) {
 	}
 }
 
+// TestTenantManifestIgnoresIngestWorkers: a tenant.json from before the
+// per-tenant ingest_workers setting was removed still restores, stream
+// and all; the field is ignored.
+func TestTenantManifestIgnoresIngestWorkers(t *testing.T) {
+	dir := t.TempDir()
+	opts := RegistryOptions{Dim: 2, SnapshotDir: dir, CheckpointInterval: -1}
+	r1, err := NewTenantRegistry(opts)
+	if err != nil {
+		t.Fatalf("NewTenantRegistry: %v", err)
+	}
+	ten, err := r1.CreateTenant(TenantConfig{ID: "legacy", Eps: 0.1, Seed: 3})
+	if err != nil {
+		t.Fatalf("CreateTenant: %v", err)
+	}
+	if err := ten.Feed(servePoints(300, 51)...); err != nil {
+		t.Fatalf("Feed: %v", err)
+	}
+	drain(t, ten.Service(), 300)
+	if err := r1.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	const legacyManifest = `{
+  "id": "legacy",
+  "dim": 2,
+  "eps": 0.1,
+  "alpha": 0.25,
+  "seed": 3,
+  "weight": 1,
+  "ingest_workers": 2,
+  "created_at": "2026-10-01T00:00:00Z"
+}`
+	if err := os.WriteFile(filepath.Join(dir, "legacy", manifestName), []byte(legacyManifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r2, err := NewTenantRegistry(opts)
+	if err != nil {
+		t.Fatalf("restore registry: %v", err)
+	}
+	defer r2.Close()
+	restored, err := r2.Tenant("legacy")
+	if err != nil {
+		t.Fatalf("Tenant(legacy): %v", err)
+	}
+	if cfg := restored.Config(); cfg.Eps != 0.1 || cfg.Seed != 3 {
+		t.Errorf("restored config = %+v", cfg)
+	}
+	if got := restored.Service().StreamN(); got != 300 {
+		t.Errorf("restored stream = %d points, want 300", got)
+	}
+}
+
 // TestTenantConcurrentBuildsFairShare: with one global build slot, a
 // tenant running an ε ladder and a tenant asking for one build all
 // complete; the shared scheduler accounts grants per tenant.
